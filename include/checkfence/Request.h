@@ -259,20 +259,11 @@ public:
     Fresh = Enable;
     return *this;
   }
-  /// Worker threads for matrix cells / synthesis minimization
-  /// (0 = the Verifier's configured default). One budget: intra-check
-  /// portfolio helpers draw from the same allowance, so N is the total
-  /// thread count however the work is shaped.
+  /// Worker threads for matrix and sweep cells, synthesis minimization,
+  /// analyze lattice points and explore scenarios (0 = the Verifier's
+  /// configured default). Each check itself runs serially.
   Request &jobs(int N) {
     Jobs = N;
-    return *this;
-  }
-  /// Intra-check solver portfolio width: 1 = strictly serial, N > 1 =
-  /// race up to N diversified solvers per hard query, 0 (default) = auto,
-  /// one racer per jobs() worker the budget can spare. Verdicts,
-  /// observation sets, and timing-free JSON are identical at any width.
-  Request &portfolioWidth(int N) {
-    PortfolioWidth = N;
     return *this;
   }
   /// Use the polynomial reads-from oracle where eligible (default on):
@@ -414,7 +405,6 @@ public:
   std::optional<long long> ConflictBudget;
   bool Fresh = false;
   int Jobs = 0;
-  int PortfolioWidth = 0;
   bool UseFastOracle = true;
 
   double DeadlineSeconds = 0;

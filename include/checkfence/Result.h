@@ -65,20 +65,18 @@ struct ResultStats {
   int Stores = 0;
   int SatVars = 0;
   unsigned long long SatClauses = 0;
-  double EncodeSeconds = 0;
-  double SolveSeconds = 0;
+  /// Per-phase wall clock of the mine/include/probe loop, accumulated
+  /// over every bound round: specification mining (its own encodings
+  /// included), the target-model encodings, the inclusion checks end to
+  /// end, and the lazy-unrolling bound probes. With OracleSeconds and
+  /// AnalysisSeconds they account for TotalSeconds.
   double MiningSeconds = 0;
-  /// Per-phase wall clock of the mine/include/probe loop: the inclusion
-  /// checks end to end and the lazy-unrolling bound probes.
+  double EncodeSeconds = 0;
   double IncludeSeconds = 0;
   double ProbeSeconds = 0;
+  /// Solver time of the final inclusion query alone.
+  double SolveSeconds = 0;
   double TotalSeconds = 0;
-  /// Portfolio counters (zero at portfolioWidth 1): learnt clauses
-  /// shared between racing solvers and races a helper won over the
-  /// incremental primary.
-  unsigned long long LearntsExported = 0;
-  unsigned long long LearntsImported = 0;
-  int RacesWon = 0;
   /// Reads-from oracle pruning (zero with fastOracle(false) or on
   /// ineligible models/programs): inclusion rounds the polynomial
   /// oracle attempted and the ones it discharged without a SAT solve.

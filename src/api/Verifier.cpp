@@ -250,9 +250,6 @@ struct Verifier::Impl {
     if (S->totalClauses() > MaxSessionClauses)
       return; // retired: grown past useful reuse size
     S->setHooks(checker::CheckHooks{}); // drop request-scoped callbacks
-    // The worker budget lives on the request's stack frame; a pooled
-    // session must not carry the dangling pointer into its next lease.
-    S->setParallelism(checker::CheckOptions{}.PortfolioWidth, nullptr);
     std::lock_guard<std::mutex> Lock(PoolMu);
     auto &Idle = Pool[Key];
     if (Idle.size() >= MaxIdlePerKey || IdleSessions >= MaxIdleTotal)
@@ -388,12 +385,6 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   Opts.Hooks = makeHooks(Label, Sink, Control);
 
-  // One worker budget for the whole request: `--jobs N` buys N threads
-  // total, and the check's portfolio helpers are the only other layer
-  // here. Outlives the run (stack), cleared on session return.
-  support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
-  Opts.Budget = &Budget;
-
   checker::CheckResult R;
   if (Req.Fresh) {
     R = checker::runCheckFresh(Case.Impl, Case.Threads, Opts,
@@ -417,7 +408,6 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
       Session = Self->leaseSession(PoolKey, Opts);
     }
     Session->setHooks(Opts.Hooks);
-    Session->setParallelism(Opts.PortfolioWidth, &Budget);
     R = Session->check(Case.Impl, Case.Threads,
                        Case.HasSpec ? &Case.Spec : nullptr);
     Self->returnSession(PoolKey, std::move(Session));
@@ -463,14 +453,8 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   if (Cells.empty())
     return Fail("matrix is empty (check impls/tests)");
 
-  // One budget for both parallel layers: the cell fan-out borrows extra
-  // workers from it, and each cell's check portfolio borrows whatever is
-  // left - never cells x width threads.
-  support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
-
   harness::RunOptions Base;
   Base.Check = Opts;
-  Base.Check.Budget = &Budget;
   Base.StripFences = Req.StripAllFences;
   for (int Line : Req.StripLines)
     Base.StripFenceLines.insert(Line);
@@ -505,9 +489,7 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   };
 
   auto Rep = std::make_shared<engine::MatrixReport>(
-      engine::MatrixRunner(Self->jobsFor(Req))
-          .withBudget(&Budget)
-          .run(Cells, Fn));
+      engine::MatrixRunner(Self->jobsFor(Req)).run(Cells, Fn));
   Status Overall =
       Control.stopRequested()
           ? Status::Cancelled
@@ -541,14 +523,10 @@ WeakestOutcome Verifier::weakestModels(const Request &Req,
   if (!checkOptionsFrom(Req, Opts, Out.Error))
     return Out;
 
-  // The lattice walk itself is sequential (each verdict prunes the next
-  // frontier), so the whole `--jobs` allowance goes to each cell's
-  // portfolio.
-  support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
-
+  // The lattice walk is sequential: each verdict prunes the next
+  // frontier.
   harness::RunOptions Base;
   Base.Check = Opts;
-  Base.Check.Budget = &Budget;
   Base.StripFences = Req.StripAllFences;
   for (int Line : Req.StripLines)
     Base.StripFenceLines.insert(Line);
@@ -655,10 +633,6 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
     SO.MaxFences = *Req.SynthMaxFences;
   SO.Minimize = Req.SynthMinimize;
   SO.Jobs = Self->jobsFor(Req);
-  // Shared by the minimization fan-out and every check's portfolio.
-  support::WorkerBudget Budget(SO.Jobs - 1);
-  SO.Budget = &Budget;
-  SO.Check.Budget = &Budget;
 
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   SO.Check.Hooks =

@@ -109,9 +109,13 @@ CheckResult checkfence::checker::runCheckFresh(
     IncCfg.RangeAnalysis = Opts.RangeAnalysis;
     IncCfg.ConflictBudget = Opts.ConflictBudget;
     {
+      Timer IncludeTimer;
       EncodedProblem IncProb(ImplProg, ThreadProcs, Bounds, IncCfg);
       InclusionOutcome Inc = checkInclusion(IncProb, Result.Spec);
       Result.Stats.Inclusion = IncProb.stats();
+      Result.Stats.EncodeSeconds += IncProb.stats().EncodeSeconds;
+      Result.Stats.IncludeSeconds +=
+          IncludeTimer.seconds() - IncProb.stats().EncodeSeconds;
       if (!Inc.Ok) {
         Result.Status = CheckStatus::Error;
         Result.Message = Inc.Error;

@@ -2,6 +2,8 @@
 
 #include "checker/InclusionChecker.h"
 
+#include "obs/Trace.h"
+
 using namespace checkfence;
 using namespace checkfence::checker;
 
@@ -43,13 +45,13 @@ checkfence::checker::checkInclusion(EncodedProblem &Prob,
   return Out;
 }
 
-PreparedInclusion checkfence::checker::prepareInclusion(
+InclusionOutcome checkfence::checker::checkInclusion(
     SolveContext &Ctx, ProblemEncoding &Enc, const ObservationSet &Spec,
     const std::vector<sat::Lit> &Assumptions) {
-  PreparedInclusion P;
+  InclusionOutcome Out;
   if (!Enc.ok()) {
-    P.Error = Enc.error();
-    return P;
+    Out.Error = Enc.error();
+    return Out;
   }
 
   Ctx.beginPhase();
@@ -60,34 +62,21 @@ PreparedInclusion checkfence::checker::prepareInclusion(
   bool Consistent = true;
   for (const Observation &O : Spec)
     Consistent = Enc.addMismatch(O, Act) && Consistent;
-  P.Ok = true;
   if (!Consistent) {
     // The constraints alone are unsatisfiable: no execution escapes the
     // specification.
-    P.Trivial = true;
-    return P;
-  }
-  P.Assumptions = Assumptions;
-  P.Assumptions.push_back(Act);
-  return P;
-}
-
-InclusionOutcome checkfence::checker::checkInclusion(
-    SolveContext &Ctx, ProblemEncoding &Enc, const ObservationSet &Spec,
-    const std::vector<sat::Lit> &Assumptions) {
-  InclusionOutcome Out;
-  PreparedInclusion P = prepareInclusion(Ctx, Enc, Spec, Assumptions);
-  if (!P.Ok) {
-    Out.Error = P.Error;
-    return Out;
-  }
-  if (P.Trivial) {
     Out.Ok = true;
     Out.Pass = true;
     return Out;
   }
 
-  sat::SolveResult R = Ctx.solveUnder(P.Assumptions);
+  std::vector<sat::Lit> Assumps = Assumptions;
+  Assumps.push_back(Act);
+  sat::SolveResult R;
+  {
+    obs::Span SolveSpan("solver", "solve");
+    R = Ctx.solveUnder(Assumps);
+  }
   switch (R) {
   case sat::SolveResult::Unknown:
     Out.Error = "solver budget exhausted during inclusion check";
@@ -97,6 +86,7 @@ InclusionOutcome checkfence::checker::checkInclusion(
     Out.Pass = true;
     return Out;
   case sat::SolveResult::Sat:
+    // Decoded from the model the context's solver holds right now.
     Out.Ok = true;
     Out.Pass = false;
     Out.Counterexample = Enc.decodeTrace(Ctx.solver());

@@ -42,22 +42,6 @@ InclusionOutcome checkInclusion(SolveContext &Ctx, ProblemEncoding &Enc,
                                 const ObservationSet &Spec,
                                 const std::vector<sat::Lit> &Assumptions);
 
-/// The encoding half of the incremental inclusion check, split out so the
-/// session engine can hand the solve itself to a racing solver portfolio:
-/// installs the activation-gated mismatch clauses for \p Spec and returns
-/// the assumption set (input assumptions + the activation literal) the
-/// solve must run under.
-struct PreparedInclusion {
-  bool Ok = false;     ///< encoding usable (Error holds the message if not)
-  std::string Error;
-  bool Trivial = false; ///< mismatch clauses alone are unsat: trivially Pass
-  std::vector<sat::Lit> Assumptions;
-};
-
-PreparedInclusion prepareInclusion(SolveContext &Ctx, ProblemEncoding &Enc,
-                                   const ObservationSet &Spec,
-                                   const std::vector<sat::Lit> &Assumptions);
-
 } // namespace checker
 } // namespace checkfence
 

@@ -61,25 +61,9 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
   bool HaveSpec = false;
   trans::LoopBounds SpecForBounds;
 
-  // Arm the portfolio for this call. A conflict budget forces serial
-  // solving: an Unknown (budget exhausted) verdict must not depend on
-  // which racer got furthest.
-  Portfolio.configure(CheckCtx.mirror(),
-                      Opts.ConflictBudget >= 0 ? 1 : Opts.PortfolioWidth,
-                      Opts.Budget);
-  const PortfolioStats PortfolioBefore = Portfolio.stats();
-
   auto Finish = [&](CheckStatus Status, const std::string &Msg) {
     Result.Status = Status;
     Result.Message = Msg;
-    const PortfolioStats &PS = Portfolio.stats();
-    Result.Stats.LearntsExported =
-        PS.LearntsExported - PortfolioBefore.LearntsExported;
-    Result.Stats.LearntsImported =
-        PS.LearntsImported - PortfolioBefore.LearntsImported;
-    Result.Stats.RacesRun = PS.RacesRun - PortfolioBefore.RacesRun;
-    Result.Stats.RacesWonByHelper =
-        PS.RacesWonByHelper - PortfolioBefore.RacesWonByHelper;
     Result.Stats.TotalSeconds = Total.seconds();
     return Result;
   };
@@ -243,37 +227,13 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
                       "all executions are observationally serial");
       }
     }
-    // The round's first bound probe is an independent query on the same
-    // encoding; with helpers available the portfolio overlaps it with the
-    // inclusion solve and hands the answer to phase 3.
-    bool RoundProbed = false;
-    sat::SolveResult RoundProbeR = sat::SolveResult::Unknown;
     {
       obs::Span IncludeSpan("engine", "include");
       Timer IncludeTimer;
       EncodeStats Before = CheckEnc->stats();
-      PreparedInclusion Prep =
-          prepareInclusion(CheckCtx, *CheckEnc, Result.Spec,
-                           CheckEnc->withinBoundsAssumptions());
-      bool Pass = false;
-      std::string IncError;
-      if (!Prep.Ok) {
-        IncError = Prep.Error;
-      } else if (Prep.Trivial) {
-        Pass = true;
-      } else {
-        std::vector<sat::Lit> ProbeAssumps = CheckEnc->probeAssumptions();
-        RaceOutcome Race =
-            Portfolio.solve(CheckCtx, Prep.Assumptions, &ProbeAssumps);
-        if (Race.SecondaryDone) {
-          RoundProbed = true;
-          RoundProbeR = Race.Secondary;
-        }
-        if (Race.Primary == sat::SolveResult::Unknown)
-          IncError = "solver budget exhausted during inclusion check";
-        else
-          Pass = Race.Primary == sat::SolveResult::Unsat;
-      }
+      InclusionOutcome Inc =
+          checkInclusion(CheckCtx, *CheckEnc, Result.Spec,
+                         CheckEnc->withinBoundsAssumptions());
       // Report this inclusion check's own solving effort; the shared
       // encoding's counters also accumulate probe solves (those are
       // charged to ProbeSeconds).
@@ -281,18 +241,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       Result.Stats.Inclusion.SolveSeconds -= Before.SolveSeconds;
       Result.Stats.Inclusion.SolveCalls -= Before.SolveCalls;
       Result.Stats.IncludeSeconds += IncludeTimer.seconds();
-      if (!IncError.empty())
-        return Finish(CheckStatus::Error, IncError);
-      if (!Pass) {
-        // Counterexamples hold regardless of bounds (Sec. 3.3). Decode
-        // from the canonical shadow solve, not from whichever racer won:
-        // the reported trace must be identical at any portfolio width.
-        if (Portfolio.canonicalSolve(Prep.Assumptions) !=
-            sat::SolveResult::Sat)
-          return Finish(CheckStatus::Error,
-                        "canonical replay diverged on inclusion check");
-        Result.Counterexample =
-            CheckEnc->decodeTrace(Portfolio.shadowSolver());
+      if (!Inc.Ok)
+        return Finish(CheckStatus::Error, Inc.Error);
+      if (!Inc.Pass) {
+        // Counterexamples hold regardless of bounds (Sec. 3.3).
+        Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
         snapshot(Iter + 1);
         return Finish(CheckStatus::Fail,
@@ -309,45 +262,38 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
         return Finish(CheckStatus::Cancelled, "check cancelled");
-      obs::Span ProbeSpan("engine", "probe");
-      Timer ProbeTimer;
       if (!CheckEnc->ok())
         return Finish(CheckStatus::Error, CheckEnc->error());
       sat::SolveResult R;
-      if (RoundProbed) {
-        // Answered already, overlapped with the inclusion solve.
-        R = RoundProbeR;
-        RoundProbed = false;
-      } else {
+      std::vector<std::string> Exceeded;
+      {
+        obs::Span ProbeSpan("engine", "probe");
+        Timer ProbeTimer;
         CheckCtx.beginPhase(); // each probe gets its own conflict allowance
-        R = Portfolio.solve(CheckCtx, CheckEnc->probeAssumptions()).Primary;
+        {
+          obs::Span SolveSpan("solver", "solve");
+          R = CheckCtx.solveUnder(CheckEnc->probeAssumptions());
+        }
+        if (R == sat::SolveResult::Sat)
+          Exceeded = CheckEnc->exceededLoops(CheckCtx.solver());
+        Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       }
-      Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown)
         return Finish(CheckStatus::Error,
                       "solver budget exhausted during bound probe");
       if (R == sat::SolveResult::Unsat)
         break;
-      // Grow the loops marked in the canonical shadow model rather than
-      // in whichever racer happened to answer: the bound trajectory (and
-      // everything downstream of it) must be identical at any width.
-      if (Portfolio.canonicalSolve(CheckEnc->probeAssumptions()) !=
-          sat::SolveResult::Sat)
+      if (Exceeded.empty())
         return Finish(CheckStatus::Error,
-                      "canonical replay diverged on bound probe");
-      bool GrewThisProbe = false;
-      for (const std::string &Key :
-           CheckEnc->exceededLoops(Portfolio.shadowSolver())) {
+                      "bound probe satisfiable but no mark decoded");
+      for (const std::string &Key : Exceeded) {
         int &B = Bounds[Key];
         B = (B == 0 ? 1 : B) + 1;
-        GrewThisProbe = true;
         if (Hooks.OnBoundGrown)
           Hooks.OnBoundGrown(Key, B);
       }
-      if (!GrewThisProbe)
-        return Finish(CheckStatus::Error,
-                      "bound probe satisfiable but no mark decoded");
       Grown = true;
+      obs::Span EncodeSpan("engine", "encode");
       CheckEnc = &CheckCtx.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
       CheckEncBounds = Bounds;
       Result.Stats.EncodeSeconds += CheckEnc->stats().EncodeSeconds;
@@ -363,6 +309,8 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     // mining encoding doubles as the probe (its blocking clauses were
     // activation-gated and are no longer assumed).
     if (!Grown && SpecProg && MineEnc && MineEnc->ok()) {
+      obs::Span ProbeSpan("engine", "probe");
+      Timer ProbeTimer;
       MineCtx.beginPhase();
       if (MineCtx.solveUnder(MineEnc->probeAssumptions()) ==
           sat::SolveResult::Sat) {
@@ -373,6 +321,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
           Grown = true;
         }
       }
+      Result.Stats.ProbeSeconds += ProbeTimer.seconds();
     }
 
     snapshot(Iter + 1);

@@ -21,6 +21,12 @@
 ///  * Mining is skipped entirely when the mined program's bounds did not
 ///    change since the last completed enumeration - the re-run would
 ///    reproduce the identical observation set.
+///  * Every decoded artifact - counterexample traces and the loops a bound
+///    probe found exceeded - comes from the model the target context's
+///    own solver holds after its Sat answer; no query is solved twice.
+///    Solving is serial, so the decoded models (and with them the bound
+///    trajectory and timing-free reports) depend only on the query
+///    sequence.
 ///
 /// Per-round solver-size snapshots are recorded so tests can assert the
 /// no-reset property directly.
@@ -32,7 +38,6 @@
 
 #include "checker/CheckFence.h"
 #include "checker/SolveContext.h"
-#include "engine/Portfolio.h"
 
 #include <vector>
 
@@ -65,15 +70,6 @@ public:
   /// identity, so pools reusing a session swap them in here.
   void setHooks(const checker::CheckHooks &Hooks) { Opts.Hooks = Hooks; }
 
-  /// Replaces the portfolio width and shared worker budget for subsequent
-  /// check() calls. Like hooks, parallelism is per-request state (results
-  /// are width-invariant by contract); pools MUST clear the budget
-  /// pointer when a request ends - it points at request-owned storage.
-  void setParallelism(int PortfolioWidth, support::WorkerBudget *Budget) {
-    Opts.PortfolioWidth = PortfolioWidth;
-    Opts.Budget = Budget;
-  }
-
   /// One entry per completed bound iteration, across all check() calls.
   const std::vector<SessionSnapshot> &snapshots() const {
     return Snapshots;
@@ -94,11 +90,8 @@ private:
   void snapshot(int Round);
 
   checker::CheckOptions Opts;
-  checker::SolveContext MineCtx; ///< Serial model: mining + refset probe
-  /// Target model: inclusion + probe. Mirrored so the portfolio can
-  /// replay replicas and the canonical shadow solver from its CNF.
-  checker::SolveContext CheckCtx{/*MirrorCnf=*/true};
-  SolverPortfolio Portfolio; ///< racing replicas + canonical shadow
+  checker::SolveContext MineCtx;  ///< Serial model: mining + refset probe
+  checker::SolveContext CheckCtx; ///< target model: inclusion + probe
   std::vector<SessionSnapshot> Snapshots;
 };
 

@@ -22,19 +22,10 @@ using checker::CheckStatus;
 
 void checkfence::engine::parallelFor(
     int Jobs, size_t Count, const std::function<void(size_t)> &Body) {
-  parallelFor(nullptr, Jobs, Count, Body);
-}
-
-void checkfence::engine::parallelFor(
-    support::WorkerBudget *Budget, int MaxWorkers, size_t Count,
-    const std::function<void(size_t)> &Body) {
-  // The calling thread is always one worker; borrow the extras.
-  int WantExtra = MaxWorkers - 1;
-  if (static_cast<size_t>(MaxWorkers) > Count)
-    WantExtra = static_cast<int>(Count) - 1;
-  int Extra = 0;
-  if (WantExtra > 0)
-    Extra = Budget ? Budget->tryAcquire(WantExtra) : WantExtra;
+  // The calling thread is always one worker; spawn the extras.
+  int Extra = Jobs - 1;
+  if (static_cast<size_t>(Jobs) > Count)
+    Extra = static_cast<int>(Count) - 1;
   if (Extra <= 0) {
     for (size_t I = 0; I < Count; ++I)
       Body(I);
@@ -60,8 +51,6 @@ void checkfence::engine::parallelFor(
   Work();
   for (std::thread &T : Pool)
     T.join();
-  if (Budget)
-    Budget->release(Extra);
 }
 
 std::string MatrixCell::label() const {
@@ -118,9 +107,6 @@ checkfence::engine::renderReportCell(const ReportCellFields &F) {
         .fixed("mining_seconds", F.MiningSeconds)
         .fixed("include_seconds", F.IncludeSeconds)
         .fixed("probe_seconds", F.ProbeSeconds)
-        .field("learnts_exported", F.LearntsExported)
-        .field("learnts_imported", F.LearntsImported)
-        .field("races_won", F.RacesWon)
         .field("oracle_attempts", F.OracleAttempts)
         .field("oracle_discharges", F.OracleDischarges)
         .fixed("oracle_seconds", F.OracleSeconds)
@@ -171,16 +157,11 @@ std::string MatrixReport::json(bool IncludeTimings) const {
     if (IncludeTimings) {
       F.IncludeTimings = true;
       F.Seconds = C.Seconds;
-      F.EncodeSeconds = E.EncodeSeconds;
+      F.EncodeSeconds = R.Stats.EncodeSeconds;
       F.SolveSeconds = E.SolveSeconds;
       F.MiningSeconds = R.Stats.MiningSeconds;
       F.IncludeSeconds = R.Stats.IncludeSeconds;
       F.ProbeSeconds = R.Stats.ProbeSeconds;
-      F.LearntsExported =
-          static_cast<unsigned long long>(R.Stats.LearntsExported);
-      F.LearntsImported =
-          static_cast<unsigned long long>(R.Stats.LearntsImported);
-      F.RacesWon = R.Stats.RacesWonByHelper;
       F.OracleAttempts = R.Stats.OracleAttempts;
       F.OracleDischarges = R.Stats.OracleDischarges;
       F.OracleSeconds = R.Stats.OracleSeconds;
@@ -247,7 +228,7 @@ MatrixReport MatrixRunner::run(const std::vector<MatrixCell> &Cells,
   Report.Jobs = Jobs;
   Report.Cells.resize(Cells.size());
   Timer Wall;
-  parallelFor(Budget, Jobs, Cells.size(), [&](size_t I) {
+  parallelFor(Jobs, Cells.size(), [&](size_t I) {
     obs::Span CellSpan("matrix",
                        [&] { return "cell:" + Cells[I].label(); });
     Timer CellTimer;

@@ -47,19 +47,6 @@ public:
   /// numbering exactly. Returns false if the sink reported unsatisfiability.
   bool replayInto(ClauseSink &Sink) const;
 
-  /// Position inside a store for incremental replay: how many variables
-  /// and clauses a sink has already consumed.
-  struct ReplayCursor {
-    int NextVar = 0;
-    std::size_t NextClause = 0;
-  };
-
-  /// Replays only the suffix recorded since \p Cur, then advances the
-  /// cursor. A persistent replica solver calls this before every race to
-  /// catch up with the primary's appends without rebuilding its database.
-  /// Returns false if the sink reported unsatisfiability.
-  bool replayInto(ClauseSink &Sink, ReplayCursor &Cur) const;
-
 private:
   Cnf Formula;
 };

@@ -16,7 +16,9 @@ using namespace checkfence;
 using namespace checkfence::sat;
 
 /// In-memory clause layout: a small header followed by the literal array.
-/// Clauses are allocated with malloc so the solver works without exceptions.
+/// Learnt clauses are allocated with malloc so reduceDB can free them one
+/// by one; problem clauses, which live as long as the solver, are carved
+/// out of large chunks (see allocProblemClause).
 struct Solver::Clause {
   uint32_t Size;
   uint8_t Learnt;
@@ -40,16 +42,16 @@ void Solver::enableProofLog() {
 }
 
 Solver::~Solver() {
-  for (Clause *C : Clauses)
-    freeClause(C);
   for (Clause *C : Learnts)
-    freeClause(C);
+    std::free(C);
+  for (char *Chunk : ProblemChunks)
+    std::free(Chunk);
 }
 
 Var Solver::newVar() {
   Var V = static_cast<Var>(Assigns.size());
   Assigns.push_back(LBool::Undef);
-  Polarity.push_back(static_cast<char>(DefaultPhase));
+  Polarity.push_back(0);
   Seen.push_back(0);
   VarInfo.push_back(VarData());
   Activity.push_back(0.0);
@@ -66,10 +68,28 @@ size_t Solver::numFixedVars() const {
   return N;
 }
 
+/// Bump-allocates a problem clause. Problem clauses are never removed, so
+/// their chunks are only released by the destructor - a few frees for a
+/// database of millions of clauses.
+void *Solver::allocProblemClause(size_t Bytes) {
+  constexpr size_t ChunkBytes = size_t(1) << 20;
+  Bytes = (Bytes + alignof(Clause) - 1) & ~(alignof(Clause) - 1);
+  if (ProblemChunks.empty() || ChunkUsed + Bytes > ChunkCap) {
+    ChunkCap = std::max(ChunkBytes, Bytes);
+    ProblemChunks.push_back(static_cast<char *>(std::malloc(ChunkCap)));
+    assert(ProblemChunks.back() && "out of memory allocating clauses");
+    ChunkUsed = 0;
+  }
+  void *P = ProblemChunks.back() + ChunkUsed;
+  ChunkUsed += Bytes;
+  return P;
+}
+
 Solver::Clause *Solver::allocClause(const std::vector<Lit> &Lits,
                                     bool Learnt) {
   size_t Bytes = Clause::bytesFor(Lits.size());
-  Clause *C = static_cast<Clause *>(std::malloc(Bytes));
+  Clause *C = static_cast<Clause *>(Learnt ? std::malloc(Bytes)
+                                           : allocProblemClause(Bytes));
   assert(C && "out of memory allocating clause");
   C->Size = static_cast<uint32_t>(Lits.size());
   C->Learnt = Learnt;
@@ -81,6 +101,7 @@ Solver::Clause *Solver::allocClause(const std::vector<Lit> &Lits,
 }
 
 void Solver::freeClause(Clause *C) {
+  assert(C->Learnt && "problem clauses live as long as the solver");
   AllocatedBytes -= Clause::bytesFor(C->Size);
   std::free(C);
 }
@@ -335,25 +356,7 @@ void Solver::rebuildOrderHeap() {
   }
 }
 
-double Solver::nextRandom() {
-  // xorshift64; good enough for decision diversification.
-  if (RandSeed == 0)
-    RandSeed = 88172645463325252ull;
-  RandSeed ^= RandSeed << 13;
-  RandSeed ^= RandSeed >> 7;
-  RandSeed ^= RandSeed << 17;
-  return static_cast<double>(RandSeed >> 11) * (1.0 / 9007199254740992.0);
-}
-
 Lit Solver::pickBranchLit() {
-  if (RandomVarFreq > 0 && !heapEmpty() && nextRandom() < RandomVarFreq) {
-    // Random pick (variable stays heap-resident; the VSIDS loop below
-    // drops assigned variables lazily anyway).
-    Var V = Heap[static_cast<size_t>(nextRandom() *
-                                     static_cast<double>(Heap.size()))];
-    if (value(V) == LBool::Undef)
-      return Lit::make(V, !Polarity[V]);
-  }
   while (!heapEmpty()) {
     Var V = heapRemoveMin();
     if (value(V) == LBool::Undef)
@@ -545,11 +548,6 @@ SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
       analyze(Conflict, Learnt, BtLevel);
       if (Proof)
         Proof->addDerived(Learnt);
-      if (OnLearnt &&
-          Learnt.size() <= static_cast<size_t>(ShareMaxLits)) {
-        OnLearnt(Learnt);
-        ++Stats.LearntsExported;
-      }
       cancelUntil(BtLevel);
       if (Learnt.size() == 1) {
         uncheckedEnqueue(Learnt[0], nullptr);
@@ -622,54 +620,6 @@ static int64_t lubyNumber(int64_t I) {
   return (int64_t)1 << (K - 1);
 }
 
-/// Adopts clauses learnt by other solvers over the same problem-clause
-/// database. Runs at decision level 0 with the standard level-0
-/// simplification; an empty import proves top-level unsatisfiability.
-bool Solver::importShared() {
-  assert(decisionLevel() == 0);
-  if (!FetchShared || Proof)
-    return Ok;
-  ImportBuf.clear();
-  FetchShared(ImportBuf);
-  for (std::vector<Lit> &Ls : ImportBuf) {
-    if (!Ok)
-      return false;
-    bool Drop = false;
-    size_t J = 0;
-    for (Lit L : Ls) {
-      if (L.var() >= numVars() || value(L) == LBool::True) {
-        Drop = true; // unknown variable (stale share) or satisfied
-        break;
-      }
-      if (value(L) == LBool::Undef)
-        Ls[J++] = L;
-    }
-    if (Drop)
-      continue;
-    Ls.resize(J);
-    if (Ls.empty()) {
-      Ok = false;
-      return false;
-    }
-    if (Ls.size() == 1) {
-      if (value(Ls[0]) == LBool::Undef) {
-        uncheckedEnqueue(Ls[0], nullptr);
-        if (propagate() != nullptr) {
-          Ok = false;
-          return false;
-        }
-      }
-    } else {
-      Clause *C = allocClause(Ls, /*Learnt=*/true);
-      Learnts.push_back(C);
-      attachClause(C);
-      claBumpActivity(C);
-    }
-    ++Stats.LearntsImported;
-  }
-  return Ok;
-}
-
 SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
   cancelUntil(0);
   ConflictVec.clear();
@@ -684,10 +634,6 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
 
   SolveResult Result = SolveResult::Unknown;
   for (int64_t RestartIdx = 0; Result == SolveResult::Unknown; ++RestartIdx) {
-    if (!importShared()) {
-      Result = SolveResult::Unsat;
-      break;
-    }
     int64_t Budget = lubyNumber(RestartIdx) * 100;
     Result = search(Budget);
     if (Interrupted && Result == SolveResult::Unknown)

@@ -16,7 +16,6 @@
 #include "harness/Catalog.h"
 #include "impls/Impls.h"
 #include "sat/CnfStore.h"
-#include "support/WorkerBudget.h"
 
 #include "checkfence/checkfence.h"
 
@@ -232,166 +231,32 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// The solver portfolio: racing must be a pure optimization.
+// Phase accounting: a check's reported phases account for its time.
 //===----------------------------------------------------------------------===//
 
-/// Runs one cell serially and raced (width 4, three extra workers) and
-/// asserts identical verdicts and mined observation sets.
-void expectPortfolioMatchesSerial(const std::string &Impl,
-                                  const std::string &Test,
-                                  memmodel::ModelParams Model) {
+TEST(PhaseAccounting, PhasesSumToTotalOnHardCell) {
+  // msn/Tpc2 on relaxed mines, grows its bounds over several probes and
+  // re-encodes, so every phase of the loop is exercised.
   lsl::Program Prog;
-  ASSERT_TRUE(compileInto(impls::sourceFor(Impl), Prog));
+  ASSERT_TRUE(compileInto(impls::sourceFor("msn"), Prog));
   std::vector<std::string> Threads =
-      buildTestThreads(Prog, testByName(Test));
-
-  CheckOptions Opts;
-  Opts.Model = Model;
-  CheckSession Serial(Opts);
-  CheckResult RS = Serial.check(Prog, Threads);
-
-  support::WorkerBudget Budget(3);
-  CheckOptions Raced = Opts;
-  Raced.PortfolioWidth = 4;
-  Raced.Budget = &Budget;
-  CheckSession Racing(Raced);
-  CheckResult RR = Racing.check(Prog, Threads);
-
-  SCOPED_TRACE(Impl + "/" + Test + " on " + memmodel::modelName(Model));
-  EXPECT_EQ(RR.Status, RS.Status)
-      << "raced: " << RR.Message << " / serial: " << RS.Message;
-  EXPECT_EQ(RR.Spec, RS.Spec);
-  EXPECT_EQ(Budget.available(), Budget.totalWorkers())
-      << "portfolio leaked budget slots";
-  if (RS.Status == CheckStatus::Fail) {
-    // Canonical artifacts: the counterexample is decoded from the shadow
-    // solver, so even the specific witness is width-invariant.
-    ASSERT_TRUE(RR.Counterexample.has_value());
-    ASSERT_TRUE(RS.Counterexample.has_value());
-    EXPECT_EQ(RR.Counterexample->Obs, RS.Counterexample->Obs);
-  }
-}
-
-TEST(PortfolioEquivalence, SerialAndRacedAgreeAcrossLattice) {
-  // Catalog implementations x lattice points, covering Pass cells with
-  // bound growth (msn/T0 relaxed), set-kind cells, and the strongest /
-  // weakest models.
-  for (memmodel::ModelParams M :
-       {memmodel::ModelParams::sc(), memmodel::ModelParams::tso(),
-        memmodel::ModelParams::relaxed()}) {
-    expectPortfolioMatchesSerial("msn", "T0", M);
-    expectPortfolioMatchesSerial("lazylist", "Sac", M);
-  }
-  expectPortfolioMatchesSerial("ms2", "Tpc2",
-                               memmodel::ModelParams::pso());
-}
-
-TEST(PortfolioEquivalence, FailingCellKeepsItsCounterexampleWhenRaced) {
-  // A Fail cell: fences stripped under Relaxed. The raced run must
-  // reproduce the serial counterexample observation exactly.
-  frontend::LoweringOptions LO;
-  LO.StripFences = true;
-  frontend::DiagEngine Diags;
-  lsl::Program Stripped;
-  ASSERT_TRUE(frontend::compileC(impls::sourceFor("msn"), {}, Stripped,
-                                 Diags, LO));
-  std::vector<std::string> Threads =
-      buildTestThreads(Stripped, testByName("T0"));
-
+      buildTestThreads(Prog, testByName("Tpc2"));
   CheckOptions Opts;
   Opts.Model = memmodel::ModelParams::relaxed();
-  CheckSession Serial(Opts);
-  CheckResult RS = Serial.check(Stripped, Threads);
-  ASSERT_EQ(RS.Status, CheckStatus::Fail);
+  CheckSession Session(Opts);
+  CheckResult R = Session.check(Prog, Threads);
+  ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
 
-  support::WorkerBudget Budget(3);
-  CheckOptions Raced = Opts;
-  Raced.PortfolioWidth = 4;
-  Raced.Budget = &Budget;
-  CheckSession Racing(Raced);
-  CheckResult RR = Racing.check(Stripped, Threads);
-  ASSERT_EQ(RR.Status, CheckStatus::Fail);
-  ASSERT_TRUE(RR.Counterexample.has_value());
-  EXPECT_EQ(RR.Counterexample->Obs, RS.Counterexample->Obs);
-  ASSERT_EQ(RR.Counterexample->MemoryOrder.size(),
-            RS.Counterexample->MemoryOrder.size());
-  for (size_t I = 0; I < RS.Counterexample->MemoryOrder.size(); ++I) {
-    EXPECT_EQ(RR.Counterexample->MemoryOrder[I].Thread,
-              RS.Counterexample->MemoryOrder[I].Thread);
-    EXPECT_EQ(RR.Counterexample->MemoryOrder[I].PoIndex,
-              RS.Counterexample->MemoryOrder[I].PoIndex);
-  }
-}
-
-TEST(PortfolioEquivalence, TimingFreeJsonIsByteIdenticalAcrossWidths) {
-  // Through the public API: the full rendered report (verdict, spec,
-  // counterexample, bounds - everything except timings and portfolio
-  // counters) must not depend on the portfolio width. Each width gets
-  // its own Verifier: a pooled session's solver state accumulates
-  // across checks, so only first-check-on-a-fresh-session runs are
-  // comparable byte for byte.
-  for (const char *ImplTest : {"pass", "fail"}) {
-    bool Fail = std::string(ImplTest) == "fail";
-    auto Run = [&](int Width) {
-      Request R = Request::check("msn", "T0").model("relaxed").noCache();
-      if (Fail)
-        R.stripFences();
-      Verifier V;
-      return V.check(R.jobs(4).portfolioWidth(Width));
-    };
-    Result W1 = Run(1);
-    Result W2 = Run(2);
-    Result W4 = Run(4);
-    ASSERT_NE(W1.Verdict, Status::Error) << W1.Message;
-    EXPECT_EQ(W1.json(/*IncludeTimings=*/false),
-              W2.json(/*IncludeTimings=*/false));
-    EXPECT_EQ(W1.json(/*IncludeTimings=*/false),
-              W4.json(/*IncludeTimings=*/false));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// WorkerBudget: one shared allowance, no oversubscription.
-//===----------------------------------------------------------------------===//
-
-TEST(WorkerBudget, AcquireReleaseAccounting) {
-  support::WorkerBudget B(3);
-  EXPECT_EQ(B.totalWorkers(), 3);
-  EXPECT_EQ(B.tryAcquire(2), 2);
-  EXPECT_EQ(B.tryAcquire(5), 1) << "must clamp to what is available";
-  EXPECT_EQ(B.tryAcquire(1), 0) << "drained budget must not block";
-  B.release(3);
-  EXPECT_EQ(B.available(), 3);
-  EXPECT_EQ(B.peakHeld(), 3);
-  // Degenerate budgets are inert.
-  support::WorkerBudget Zero(0);
-  EXPECT_EQ(Zero.tryAcquire(4), 0);
-}
-
-TEST(WorkerBudget, MatrixAndPortfolioShareOneAllowance) {
-  // Regression test for the --jobs oversubscription bug: 4 cells with
-  // width-4 portfolios under a 4-worker request must never hold more
-  // than 3 extra threads in total (not cells x width).
-  std::vector<MatrixCell> Cells = expandMatrix(
-      {"ms2", "msn"}, {"T0"},
-      {memmodel::ModelParams::sc(), memmodel::ModelParams::relaxed()});
-  ASSERT_EQ(Cells.size(), 4u);
-
-  support::WorkerBudget Budget(3);
-  RunOptions Base;
-  Base.Check.PortfolioWidth = 4;
-  Base.Check.Budget = &Budget;
-  MatrixReport Par = MatrixRunner(4).withBudget(&Budget).run(
-      Cells, catalogCellRunner(Base));
-  EXPECT_TRUE(Par.allCompleted());
-  EXPECT_LE(Budget.peakHeld(), Budget.totalWorkers());
-  EXPECT_EQ(Budget.available(), Budget.totalWorkers())
-      << "some layer leaked worker slots";
-
-  // And the shared-budget run is still deterministic against serial.
-  MatrixReport Seq = MatrixRunner(1).run(Cells, catalogCellRunner(RunOptions()));
-  EXPECT_EQ(Seq.json(/*IncludeTimings=*/false),
-            Par.json(/*IncludeTimings=*/false));
+  // The sum the benchmark ledger subtracts for engine.unaccounted_s.
+  const CheckStats &S = R.Stats;
+  double Phases = S.MiningSeconds + S.EncodeSeconds + S.IncludeSeconds +
+                  S.ProbeSeconds + S.OracleSeconds + S.AnalysisSeconds;
+  EXPECT_GT(S.ProbeSeconds, 0);
+  EXPECT_GT(S.EncodeSeconds, 0);
+  EXPECT_NEAR(Phases, S.TotalSeconds, 0.05 * S.TotalSeconds)
+      << "mine " << S.MiningSeconds << " encode " << S.EncodeSeconds
+      << " include " << S.IncludeSeconds << " probe " << S.ProbeSeconds
+      << " oracle " << S.OracleSeconds << " analysis " << S.AnalysisSeconds;
 }
 
 //===----------------------------------------------------------------------===//

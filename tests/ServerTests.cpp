@@ -248,6 +248,46 @@ TEST_F(IdentityFixture, SynthesisOutcomeRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
+// Wire compatibility with older clients
+//===----------------------------------------------------------------------===//
+
+TEST(WireCompat, OldClientCheckRequestIsAccepted) {
+  // 0.9 clients still send "portfolioWidth" with every request. The field
+  // is gone; a check carrying it must run exactly like one without it.
+  // Each request gets a fresh daemon so neither reuses the other's
+  // pooled session.
+  auto RunRpc = [](const std::string &Params, Result &Out) {
+    ServerConfig Cfg;
+    Cfg.Port = 0;
+    CheckServer S(Cfg);
+    std::string Error;
+    ASSERT_TRUE(S.start(Error)) << Error;
+    HttpResult H =
+        httpRequest("127.0.0.1", S.port(), "POST", "/rpc",
+                    rpcRequest("checkfence.check", Params, 1), {});
+    ASSERT_TRUE(H.Ok) << H.Error;
+    ASSERT_EQ(H.StatusCode, 200) << H.Body;
+    support::JsonValue Doc;
+    ASSERT_TRUE(support::parseJson(H.Body, Doc, Error)) << Error;
+    const support::JsonValue *Res = Doc.find("result");
+    ASSERT_NE(Res, nullptr) << H.Body;
+    ASSERT_TRUE(decodeResult(*Res, Out, Error)) << Error;
+  };
+
+  std::string Params = encodeRequest(
+      Request::check("ms2", "T0").model("relaxed").noCache());
+  ASSERT_EQ(Params.front(), '{');
+  std::string OldParams = "{\"portfolioWidth\": 4, " + Params.substr(1);
+
+  Result Current, Old;
+  RunRpc(Params, Current);
+  RunRpc(OldParams, Old);
+  ASSERT_EQ(Current.Verdict, Status::Pass) << Current.Message;
+  EXPECT_EQ(Old.json(/*IncludeTimings=*/false),
+            Current.json(/*IncludeTimings=*/false));
+}
+
+//===----------------------------------------------------------------------===//
 // Server policy
 //===----------------------------------------------------------------------===//
 

@@ -80,14 +80,9 @@ void usage() {
       "  --no-shrink          keep divergent scenarios unshrunk\n"
       "  --corpus DIR         persist seen-scenario fingerprints and\n"
       "                       shrunk repros in DIR across runs\n"
-      "  --jobs N             total worker threads: matrix cells, synth\n"
-      "                       minimization, explore scenarios, and check\n"
-      "                       portfolios all share the one allowance\n"
-      "  --portfolio W        intra-check solver portfolio width: 1 =\n"
-      "                       serial, W > 1 = race up to W diversified\n"
-      "                       solvers per hard query, 0 = auto (one per\n"
-      "                       spare --jobs worker). Verdicts and\n"
-      "                       timing-free JSON are identical at any W\n"
+      "  --jobs N             worker threads for matrix cells, synth\n"
+      "                       minimization and explore scenarios; each\n"
+      "                       check runs serially\n"
       "  --no-fast-oracle     disable the polynomial reads-from oracle:\n"
       "                       checks skip SAT-pruning and explore falls\n"
       "                       back to the brute-force enumerator on all\n"
@@ -279,13 +274,18 @@ int emitCheck(const Result &R, const std::string &JsonPath,
     return exitCodeFor(R.Verdict);
 
   std::printf("%s\n", R.Message.c_str());
-  std::printf("stats: %d instrs, %d loads, %d stores | spec %d obs "
-              "(%.2fs) | CNF %d vars %llu clauses | encode %.2fs solve "
-              "%.2fs | total %.2fs, %d bound rounds%s\n",
+  // Phase times accumulated over every bound round; together they add
+  // up to the total.
+  std::printf("stats: %d instrs, %d loads, %d stores | spec %d obs | CNF "
+              "%d vars %llu clauses | mine %.2fs encode %.2fs include "
+              "%.2fs probe %.2fs prune %.2fs | total %.2fs, %d bound "
+              "rounds%s\n",
               R.Stats.UnrolledInstrs, R.Stats.Loads, R.Stats.Stores,
-              R.Stats.ObservationCount, R.Stats.MiningSeconds,
-              R.Stats.SatVars, R.Stats.SatClauses,
-              R.Stats.EncodeSeconds, R.Stats.SolveSeconds,
+              R.Stats.ObservationCount, R.Stats.SatVars,
+              R.Stats.SatClauses, R.Stats.MiningSeconds,
+              R.Stats.EncodeSeconds, R.Stats.IncludeSeconds,
+              R.Stats.ProbeSeconds,
+              R.Stats.OracleSeconds + R.Stats.AnalysisSeconds,
               R.Stats.TotalSeconds, R.Stats.BoundIterations,
               R.FromCache ? " (cached)" : "");
   if (PrintSpec)
@@ -399,8 +399,6 @@ int main(int argc, char **argv) {
       MatrixModels = splitList(Next());
     } else if (A == "--jobs") {
       Req.jobs(std::atoi(Next().c_str()));
-    } else if (A == "--portfolio") {
-      Req.portfolioWidth(std::atoi(Next().c_str()));
     } else if (A == "--no-fast-oracle") {
       Req.fastOracle(false);
     } else if (A == "--oracle-sample") {
