@@ -32,9 +32,8 @@ namespace {
 
 /// Times one cell through the from-scratch pipeline and the session
 /// engine; returns a JSON object fragment (an error object on failure,
-/// so the report always stays parseable). Uses its own Verifier so the
-/// session measurement never starts on a pool-warmed solver from a
-/// previous fragment.
+/// so the report always stays parseable). Uses its own Verifier, so
+/// fragments share no state.
 std::string benchFreshVsSession(const char *Impl, const char *Test,
                                 const char *Model, double &SumFresh,
                                 double &SumSession) {

@@ -9,9 +9,9 @@
 /// CheckServer is the embeddable core of the `checkfenced` daemon: an
 /// HTTP/1.1 + JSON-RPC 2.0 front over the Verifier API. Requests land in
 /// a bounded priority queue and fan out over worker shards; each shard
-/// owns one Verifier (and with it a warm session pool) while all shards
-/// fill one shared result cache. `/metrics` exposes the live counters in
-/// Prometheus text format, `/status` as JSON.
+/// owns one Verifier while all shards fill one shared result cache.
+/// `/metrics` exposes the live counters in Prometheus text format,
+/// `/status` as JSON.
 ///
 /// Byte-identity contract: a request dispatched through the daemon (see
 /// RemoteVerifier in checkfence/Remote.h) produces the same timing-free
@@ -80,7 +80,7 @@ struct ServerStats {
   size_t Queued = 0;   ///< requests waiting for a shard
   size_t InFlight = 0; ///< requests running on a shard
   CacheStats Cache;    ///< shared result cache, all shards
-  PoolStats Pool;      ///< warm-session pools, summed over shards
+  PoolStats Pool;      ///< always zero: sessions are no longer pooled
 };
 
 /// The daemon core. start() spawns the listener, watcher, and shard

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Verifier is the service front of the engine: it owns a pool of
-/// incremental check sessions (persistent SAT solvers, reused across
-/// requests with identical options), a cross-run result cache, and a
-/// worker pool for batched matrices. It is safe to share one Verifier
+/// The Verifier is the service front of the engine: it owns a cross-run
+/// result cache and a worker pool for batched matrices; every check that
+/// misses the cache runs on its own incremental check session, which is
+/// freed when the check ends. It is safe to share one Verifier
 /// across threads; individual requests run synchronously on the calling
 /// thread (matrix cells fan out onto workers).
 ///
@@ -107,13 +107,12 @@ struct VerifierConfig {
   SharedResultCache SharedCache;
 };
 
-/// Session-pool observability counters (the `/metrics` surface of the
-/// checkfenced server; see docs/SERVER.md).
+/// Counters of the session pool that versions before 0.11 kept. Checks
+/// no longer pool sessions, so both fields always read zero; the struct
+/// (and ServerStats::Pool) remain only for source compatibility.
 struct PoolStats {
-  size_t IdleSessions = 0; ///< warm sessions parked in the pool
-  /// Total CNF clauses held by those idle sessions' persistent solvers -
-  /// a proxy for the pool's solver memory.
-  unsigned long long IdleClauses = 0;
+  size_t IdleSessions = 0;            ///< always 0
+  unsigned long long IdleClauses = 0; ///< always 0
 };
 
 class Verifier {
@@ -155,16 +154,13 @@ public:
   AnalysisOutcome analyze(const Request &Req);
 
   /// Runs a randomized differential exploration (Request::explore):
-  /// seeded scenario generation, per-model oracle cross-checks on this
-  /// Verifier's session pool, divergence shrinking, and corpus
+  /// seeded scenario generation, per-model oracle cross-checks through
+  /// this Verifier's checks, divergence shrinking, and corpus
   /// persistence. See docs/EXPLORE.md.
   ExploreOutcome explore(const Request &Req, EventSink *Sink = nullptr,
                          CancelToken Token = CancelToken());
 
   CacheStats cacheStats() const;
-  /// Occupancy of the warm-session pool (idle sessions and the clauses
-  /// their persistent solvers hold) - a live service's memory signal.
-  PoolStats poolStats() const;
   void clearCache();
   /// Persists the cache now (to \p Path, or the configured CachePath).
   bool saveCache(const std::string &Path = std::string()) const;

@@ -36,7 +36,7 @@
 #include <vector>
 
 #define CHECKFENCE_VERSION_MAJOR 0
-#define CHECKFENCE_VERSION_MINOR 10
+#define CHECKFENCE_VERSION_MINOR 11
 #define CHECKFENCE_VERSION_PATCH 0
 
 namespace checkfence {

@@ -7,7 +7,7 @@
 /// \file
 /// Internal glue between the public facade (include/checkfence/) and the
 /// engine layers: request resolution (names -> compiled programs),
-/// fingerprinting for the result cache and the session pool, and the
+/// fingerprinting for the result cache, and the
 /// checker::CheckResult -> checkfence::Result conversion. Not installed.
 ///
 //===----------------------------------------------------------------------===//
@@ -62,8 +62,8 @@ CompiledCase buildCase(const Request &Req);
 bool checkOptionsFrom(const Request &Req, checker::CheckOptions &Out,
                       std::string &Error);
 
-/// Deterministic options fingerprint for cache keys and the session
-/// pool. Ignores Hooks and InitialBounds (per-request state).
+/// Deterministic options fingerprint for cache keys. Ignores Hooks and
+/// InitialBounds (per-request state).
 std::string optionsFingerprint(const checker::CheckOptions &O,
                                bool Fresh);
 

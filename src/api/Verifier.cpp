@@ -11,7 +11,6 @@
 #include "api/Cache.h"
 #include "checker/Encoder.h"
 #include "trans/Flattener.h"
-#include "engine/CheckSession.h"
 #include "engine/MatrixRunner.h"
 #include "engine/WeakestModelSearch.h"
 #include "explore/Explore.h"
@@ -28,8 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -194,7 +191,7 @@ int preludeLineCount() {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Verifier::Impl - session pool + cache
+// Verifier::Impl - result cache
 //===----------------------------------------------------------------------===//
 
 struct Verifier::Impl {
@@ -210,53 +207,6 @@ struct Verifier::Impl {
   /// saving on destruction would clobber it (wrong file, or a future
   /// cache format) - an explicit saveCache() still can.
   bool SaveCacheOnExit = true;
-
-  std::mutex PoolMu;
-  /// Idle sessions keyed by options fingerprint. A leased session is
-  /// removed from the pool and returned after the check, so concurrent
-  /// requests never share a session. The pool is bounded two ways:
-  /// persistent solvers only ever grow, and a long-lived service sees
-  /// many distinct option/bounds keys - sessions beyond the count caps
-  /// are simply freed, and a session whose solvers grew past
-  /// MaxSessionClauses is retired instead of re-pooled (re-leasing it
-  /// onto yet another program would keep re-solving an ever-larger
-  /// formula; explore runs hit this with hundreds of distinct
-  /// programs).
-  static constexpr size_t MaxIdlePerKey = 4;
-  static constexpr size_t MaxIdleTotal = 64;
-  static constexpr size_t MaxSessionClauses = 1u << 21; // ~2M
-  std::map<std::string, std::vector<std::unique_ptr<engine::CheckSession>>>
-      Pool;
-  size_t IdleSessions = 0; // total across Pool, under PoolMu
-
-  std::unique_ptr<engine::CheckSession>
-  leaseSession(const std::string &Key, const checker::CheckOptions &O) {
-    {
-      std::lock_guard<std::mutex> Lock(PoolMu);
-      auto It = Pool.find(Key);
-      if (It != Pool.end() && !It->second.empty()) {
-        std::unique_ptr<engine::CheckSession> S =
-            std::move(It->second.back());
-        It->second.pop_back();
-        --IdleSessions;
-        return S;
-      }
-    }
-    return std::make_unique<engine::CheckSession>(O);
-  }
-
-  void returnSession(const std::string &Key,
-                     std::unique_ptr<engine::CheckSession> S) {
-    if (S->totalClauses() > MaxSessionClauses)
-      return; // retired: grown past useful reuse size
-    S->setHooks(checker::CheckHooks{}); // drop request-scoped callbacks
-    std::lock_guard<std::mutex> Lock(PoolMu);
-    auto &Idle = Pool[Key];
-    if (Idle.size() >= MaxIdlePerKey || IdleSessions >= MaxIdleTotal)
-      return; // over budget: let the session (and its solvers) free
-    Idle.push_back(std::move(S));
-    ++IdleSessions;
-  }
 
   int jobsFor(const Request &Req) const {
     int J = Req.Jobs > 0 ? Req.Jobs : Cfg.Jobs;
@@ -296,17 +246,6 @@ bool Verifier::saveCache(const std::string &Path) const {
   if (Target.empty())
     return false;
   return Self->Cache->save(Target);
-}
-
-PoolStats Verifier::poolStats() const {
-  PoolStats S;
-  std::lock_guard<std::mutex> Lock(Self->PoolMu);
-  for (const auto &[Key, Idle] : Self->Pool)
-    for (const auto &Session : Idle) {
-      ++S.IdleSessions;
-      S.IdleClauses += Session->totalClauses();
-    }
-  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -362,8 +301,8 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   const std::string ModelStr = memmodel::modelName(Opts.Model);
   const std::string Label =
       Case.ImplLabel + ":" + Case.Test.Name + ":" + ModelStr;
-  const std::string OptsFp = optionsFingerprint(Opts, Req.Fresh);
-  const std::string Key = Case.ProgramFp + "|" + OptsFp;
+  const std::string Key =
+      Case.ProgramFp + "|" + optionsFingerprint(Opts, Req.Fresh);
   const bool Caching = Self->Cfg.EnableCache && Req.UseCache;
 
   if (Caching) {
@@ -385,33 +324,11 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   Opts.Hooks = makeHooks(Label, Sink, Control);
 
-  checker::CheckResult R;
-  if (Req.Fresh) {
-    R = checker::runCheckFresh(Case.Impl, Case.Threads, Opts,
-                               Case.HasSpec ? &Case.Spec : nullptr);
-  } else {
-    // Sessions are pooled by options AND program (and any seeded
-    // bounds, which are construction state). Reuse across *different*
-    // programs is deliberately excluded: a session warmed by another
-    // program carries its grown loop bounds and solver state, which
-    // perturbs budget-sensitive verdicts (BoundsExhausted vs Pass
-    // could then depend on worker scheduling) and piles unrelated
-    // encodings into one ever-larger solver. Same-program reuse -
-    // cache-miss re-runs, explore shrink candidates, repeated service
-    // requests - keeps the full incremental win.
-    std::string PoolKey = Case.ProgramFp + "|" + OptsFp;
-    for (const auto &[Loop, Bound] : Opts.InitialBounds)
-      PoolKey += formatString("|%s=%d", Loop.c_str(), Bound);
-    std::unique_ptr<engine::CheckSession> Session;
-    {
-      obs::Span LeaseSpan("api", "session_lease");
-      Session = Self->leaseSession(PoolKey, Opts);
-    }
-    Session->setHooks(Opts.Hooks);
-    R = Session->check(Case.Impl, Case.Threads,
-                       Case.HasSpec ? &Case.Spec : nullptr);
-    Self->returnSession(PoolKey, std::move(Session));
-  }
+  const lsl::Program *SpecProg = Case.HasSpec ? &Case.Spec : nullptr;
+  checker::CheckResult R =
+      Req.Fresh
+          ? checker::runCheckFresh(Case.Impl, Case.Threads, Opts, SpecProg)
+          : checker::runCheck(Case.Impl, Case.Threads, Opts, SpecProg);
 
   Result Out = convertResult(R, Case.ImplLabel, Case.Test.Name, ModelStr);
   if (Out.Verdict == Status::Cancelled && Control.expired() &&

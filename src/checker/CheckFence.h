@@ -66,7 +66,7 @@ struct CheckOptions {
   /// skip the lazy-unrolling phase as the paper's Fig. 10 timings do).
   trans::LoopBounds InitialBounds;
   /// Streaming/cancellation hooks. Not part of a run's identity: caches
-  /// and session pools must ignore this field when fingerprinting options.
+  /// must ignore this field when fingerprinting options.
   CheckHooks Hooks;
   /// Discharge inclusion checks with the polynomial reads-from oracle
   /// where it applies (readsFromEligible() target models whose flattened
@@ -155,8 +155,9 @@ struct CheckResult {
 /// must define the same thread procedures and observation layout).
 ///
 /// This is a thin wrapper over engine::CheckSession, the incremental
-/// session engine that keeps one persistent solver per memory model across
-/// the mine/include/probe phases and the bound iterations.
+/// session engine that keeps one solver per memory model across the
+/// mine/include/probe phases, holding only the live encoding as the
+/// bounds grow.
 CheckResult runCheck(const lsl::Program &ImplProg,
                      const std::vector<std::string> &ThreadProcs,
                      const CheckOptions &Opts,

@@ -1,4 +1,4 @@
-//===--- SolveContext.cpp - persistent incremental solving -------------------===//
+//===--- SolveContext.cpp - one live encoding per solver ------------------===//
 //
 // Part of the CheckFence reproduction (PLDI'07).
 //
@@ -16,19 +16,21 @@ SolveContext::encode(const lsl::Program &Prog,
                      const std::vector<std::string> &ThreadProcs,
                      const trans::LoopBounds &Bounds,
                      const ProblemConfig &Cfg) {
-  Encodings.push_back(std::make_unique<ProblemEncoding>(
-      Cnf, Prog, ThreadProcs, Bounds, Cfg));
+  // Retire the previous encoding first: it refers to the builder.
+  Live.reset();
+  Solver.reset();
+  Cnf.emplace(Solver);
+  Live = std::make_unique<ProblemEncoding>(*Cnf, Prog, ThreadProcs, Bounds,
+                                           Cfg);
   // The solver's budget counts lifetime conflicts; remember the per-phase
   // allowance and arm it (phases re-arm again via beginPhase()).
   PhaseBudget = Cfg.ConflictBudget;
   beginPhase();
-  EncodeStats &Stats = Encodings.back()->stats();
-  // Cumulative solver size: these grow monotonically across encodings,
-  // which is exactly the property the session tests assert.
+  EncodeStats &Stats = Live->stats();
   Stats.SatVars = Solver.numVars();
   Stats.SatClauses = Solver.numClauses();
   Stats.SolverMemBytes = Solver.memoryBytes();
-  return *Encodings.back();
+  return *Live;
 }
 
 sat::SolveResult
@@ -37,8 +39,8 @@ SolveContext::solveUnder(const std::vector<sat::Lit> &Assumptions) {
   sat::SolveResult R = Solver.solve(Assumptions);
   double Secs = T.seconds();
   SolveSecs += Secs;
-  if (!Encodings.empty()) {
-    EncodeStats &Stats = Encodings.back()->stats();
+  if (Live) {
+    EncodeStats &Stats = Live->stats();
     Stats.SolveSeconds += Secs;
     Stats.SolveCalls += 1;
     Stats.LearntClauses = Solver.numLearnts();

@@ -18,16 +18,6 @@ using namespace checkfence;
 using namespace checkfence::engine;
 using namespace checkfence::checker;
 
-void CheckSession::snapshot(int Round) {
-  SessionSnapshot S;
-  S.Round = Round;
-  S.MineVars = MineCtx.solver().numVars();
-  S.MineClauses = MineCtx.solver().numClauses();
-  S.CheckVars = CheckCtx.solver().numVars();
-  S.CheckClauses = CheckCtx.solver().numClauses();
-  Snapshots.push_back(S);
-}
-
 CheckResult CheckSession::check(const lsl::Program &ImplProg,
                                 const std::vector<std::string> &ThreadProcs,
                                 const lsl::Program *SpecProg) {
@@ -50,7 +40,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
 
   // Encoding reuse state for this call: the live encoding of each context
   // and the bounds it was built for. Encodings are only rebuilt when their
-  // program's bounds changed; rebuilding appends to the same solver.
+  // program's bounds changed; rebuilding retires the old encoding.
   ProblemEncoding *MineEnc = nullptr;
   trans::LoopBounds MineEncBounds;
   ProblemEncoding *CheckEnc = nullptr;
@@ -170,7 +160,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         Result.Stats.Inclusion.SolveSeconds = 0;
         Result.Stats.Inclusion.SolveCalls = 0;
         Result.FinalBounds = Bounds;
-        snapshot(Iter + 1);
         return Finish(CheckStatus::Pass,
                       "all executions are observationally serial");
       }
@@ -222,7 +211,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         Result.Stats.Inclusion.SolveSeconds = 0;
         Result.Stats.Inclusion.SolveCalls = 0;
         Result.FinalBounds = Bounds;
-        snapshot(Iter + 1);
         return Finish(CheckStatus::Pass,
                       "all executions are observationally serial");
       }
@@ -247,7 +235,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         // Counterexamples hold regardless of bounds (Sec. 3.3).
         Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
-        snapshot(Iter + 1);
         return Finish(CheckStatus::Fail,
                       "inclusion check found a counterexample");
       }
@@ -256,8 +243,8 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     // Phase 3: probe for executions that exceed the current loop bounds,
     // growing exactly the exceeded loop instances until none remain (or
     // the probe budget runs out). The probe re-solves the inclusion
-    // encoding under the probe activation literal; each growth appends a
-    // re-unrolled encoding to the same solver.
+    // encoding under the probe activation literal; each growth replaces it
+    // with a re-unrolled encoding.
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
@@ -300,7 +287,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     }
     if (ProbesLeft < 0) {
       Result.FinalBounds = Bounds;
-      snapshot(Iter + 1);
       return Finish(CheckStatus::BoundsExhausted,
                     "loop bounds kept growing past the probe limit");
     }
@@ -324,7 +310,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
     }
 
-    snapshot(Iter + 1);
     if (!Grown) {
       Result.FinalBounds = Bounds;
       return Finish(CheckStatus::Pass,

@@ -14,10 +14,12 @@
 ///  * The inclusion check and the bound probe of one round share a single
 ///    encoding; assumptions over activation literals switch between
 ///    "within bounds + specification" and "some bound exceeded".
-///  * When lazy unrolling grows a loop bound, the new unrolling is
-///    *appended* to the same solver (variables and clauses only ever grow;
-///    learnt clauses, phases and activities survive) instead of starting a
-///    fresh solver per probe as the from-scratch pipeline does.
+///  * When lazy unrolling grows a loop bound, the new unrolling replaces
+///    the old one on the same context (SolveContext::encode resets the
+///    solver), so each solver holds only the live encoding - the final
+///    CNF that Fig. 10 reports - and never the dead variables of earlier
+///    rounds. A re-unrolling uses fresh variables only, so no learnt
+///    clause over the old ones could have helped it.
 ///  * Mining is skipped entirely when the mined program's bounds did not
 ///    change since the last completed enumeration - the re-run would
 ///    reproduce the identical observation set.
@@ -27,9 +29,6 @@
 ///    Solving is serial, so the decoded models (and with them the bound
 ///    trajectory and timing-free reports) depend only on the query
 ///    sequence.
-///
-/// Per-round solver-size snapshots are recorded so tests can assert the
-/// no-reset property directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,55 +43,30 @@
 namespace checkfence {
 namespace engine {
 
-/// Solver sizes at the end of one mine/include/probe round. Within one
-/// check these grow monotonically - the solvers are never reset.
-struct SessionSnapshot {
-  int Round = 0;          ///< 1-based bound iteration
-  int MineVars = 0;       ///< serial-context solver variables
-  size_t MineClauses = 0; ///< serial-context problem clauses
-  int CheckVars = 0;      ///< target-context solver variables
-  size_t CheckClauses = 0;
-};
-
 class CheckSession {
 public:
   explicit CheckSession(const checker::CheckOptions &Opts) : Opts(Opts) {}
 
-  /// Runs the full check on this session's persistent contexts. May be
-  /// called repeatedly (e.g. by fence synthesis on program variants);
-  /// every call appends to the same solvers.
+  /// Runs the full check on this session's contexts. May be called
+  /// repeatedly; every call re-encodes from scratch, so the solvers hold
+  /// only the last call's live encodings.
   checker::CheckResult check(const lsl::Program &ImplProg,
                              const std::vector<std::string> &ThreadProcs,
                              const lsl::Program *SpecProg = nullptr);
 
-  /// Replaces the streaming/cancellation hooks for subsequent check()
-  /// calls. Hooks are per-request state, not part of a session's
-  /// identity, so pools reusing a session swap them in here.
-  void setHooks(const checker::CheckHooks &Hooks) { Opts.Hooks = Hooks; }
-
-  /// One entry per completed bound iteration, across all check() calls.
-  const std::vector<SessionSnapshot> &snapshots() const {
-    return Snapshots;
-  }
-
   const checker::SolveContext &mineContext() const { return MineCtx; }
   const checker::SolveContext &checkContext() const { return CheckCtx; }
 
-  /// Total problem clauses across both persistent solvers. Grows
-  /// monotonically over the session's lifetime; pools use it to retire
-  /// sessions instead of reusing them into pathological sizes.
+  /// Problem clauses of the live encodings in both solvers.
   size_t totalClauses() const {
     return MineCtx.solver().numClauses() +
            CheckCtx.solver().numClauses();
   }
 
 private:
-  void snapshot(int Round);
-
   checker::CheckOptions Opts;
   checker::SolveContext MineCtx;  ///< Serial model: mining + refset probe
   checker::SolveContext CheckCtx; ///< target model: inclusion + probe
-  std::vector<SessionSnapshot> Snapshots;
 };
 
 } // namespace engine

@@ -36,16 +36,57 @@ struct Solver::Clause {
 
 Solver::Solver() = default;
 
+namespace {
+/// Empties \p V and returns its storage, which clear() would keep.
+template <typename T> void drop(std::vector<T> &V) { std::vector<T>().swap(V); }
+} // namespace
+
 void Solver::enableProofLog() {
   if (!Proof)
     Proof = std::make_unique<ProofLog>();
 }
 
-Solver::~Solver() {
+Solver::~Solver() { releaseClauses(); }
+
+void Solver::releaseClauses() {
   for (Clause *C : Learnts)
     std::free(C);
   for (char *Chunk : ProblemChunks)
     std::free(Chunk);
+}
+
+void Solver::reset() {
+  releaseClauses();
+  drop(Clauses);
+  drop(Learnts);
+  drop(ProblemChunks);
+  drop(Watches);
+  drop(Assigns);
+  drop(Polarity);
+  drop(Seen);
+  drop(VarInfo);
+  drop(Trail);
+  drop(TrailLim);
+  drop(AssumptionVec);
+  drop(ConflictVec);
+  drop(Model);
+  drop(Heap);
+  drop(HeapIndex);
+  drop(Activity);
+  drop(AnalyzeStack);
+  drop(AnalyzeToClear);
+  Ok = true;
+  QHead = 0;
+  VarInc = 1.0;
+  ClaInc = 1.0;
+  MaxLearnts = 0;
+  AllocatedBytes = 0;
+  WatchBytes = 0;
+  ChunkUsed = 0;
+  ChunkCap = 0;
+  Interrupted = false;
+  if (Proof)
+    Proof = std::make_unique<ProofLog>();
 }
 
 Var Solver::newVar() {
@@ -68,9 +109,9 @@ size_t Solver::numFixedVars() const {
   return N;
 }
 
-/// Bump-allocates a problem clause. Problem clauses are never removed, so
-/// their chunks are only released by the destructor - a few frees for a
-/// database of millions of clauses.
+/// Bump-allocates a problem clause. Problem clauses are never removed
+/// one by one, so their chunks are only released by reset() and the
+/// destructor - a few frees for a database of millions of clauses.
 void *Solver::allocProblemClause(size_t Bytes) {
   constexpr size_t ChunkBytes = size_t(1) << 20;
   Bytes = (Bytes + alignof(Clause) - 1) & ~(alignof(Clause) - 1);
@@ -101,7 +142,7 @@ Solver::Clause *Solver::allocClause(const std::vector<Lit> &Lits,
 }
 
 void Solver::freeClause(Clause *C) {
-  assert(C->Learnt && "problem clauses live as long as the solver");
+  assert(C->Learnt && "problem clauses live until reset()");
   AllocatedBytes -= Clause::bytesFor(C->Size);
   std::free(C);
 }

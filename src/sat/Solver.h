@@ -181,7 +181,14 @@ public:
   /// stands in for the "zchaff memory" column of Fig. 10.
   size_t memoryBytes() const { return AllocatedBytes + WatchBytes; }
 
+  /// Lifetime counters: they keep counting across reset().
   const SolverStats &stats() const { return Stats; }
+
+  /// Drops every variable, problem clause and learnt clause, and frees
+  /// the clause chunks, leaving the solver as freshly constructed except
+  /// for stats(), ConflictBudget and the interrupt flag. A proof log, if
+  /// enabled, restarts empty.
+  void reset();
 
   /// If >= 0, search gives up (returns Unknown) after this many conflicts.
   int64_t ConflictBudget = -1;
@@ -215,6 +222,7 @@ private:
   };
 
   // Clause management.
+  void releaseClauses();
   Clause *allocClause(const std::vector<Lit> &Lits, bool Learnt);
   void *allocProblemClause(size_t Bytes);
   void freeClause(Clause *C);

@@ -462,7 +462,7 @@ TEST(ApiCatalog, ListingsArePopulated) {
             std::string::npos);
   EXPECT_TRUE(implementationSource("nosuch").empty());
   EXPECT_FALSE(preludeSource().empty());
-  EXPECT_STREQ(versionString(), "0.10.0");
+  EXPECT_STREQ(versionString(), "0.11.0");
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 // checkfenced server leans on that by pointing every connection of a
 // shard at one instance. These tests hammer that contract - mixed
 // request kinds racing on one Verifier, overlapping program
-// fingerprints contending on the cache and session pool, cancellation
+// fingerprints contending on the cache, cancellation
 // of one request mid-flight among unrelated ones, a cache shared
 // between Verifiers, and concurrent persistence to one file - and are
 // run under ThreadSanitizer in CI (the `sanitizers` job), where any
@@ -45,7 +45,7 @@ TEST(Concurrency, MixedKindsShareOneVerifier) {
   std::atomic<int> Mismatches{0};
   // Four workload flavors, two threads each. The check threads run the
   // same (program, model) pairs deliberately: identical fingerprints
-  // race on the result cache and the warm-session pool.
+  // race on the result cache.
   onThreads(8, [&](int I) {
     for (int Round = 0; Round < 3; ++Round) {
       switch (I % 4) {

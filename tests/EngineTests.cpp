@@ -4,9 +4,9 @@
 //
 // The session engine must be a pure optimization: for any cell it returns
 // the same verdict and the same mined observation set as the from-scratch
-// pipeline, while keeping one persistent solver per memory model whose
-// variable/clause counts only ever grow across the mine/include/probe
-// phases and the lazy-unrolling bound iterations.
+// pipeline, while keeping one solver per memory model that shares an
+// encoding across the mine/include/probe phases and holds only the live
+// encoding across the lazy-unrolling bound iterations.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +63,14 @@ void expectSessionMatchesFresh(const std::string &Source,
   EXPECT_EQ(Inc.Spec, Fresh.Spec);
   // Note: FinalBounds may legitimately differ - a satisfiable probe's
   // model (and hence which loop instances grow first) depends on solver
-  // state. Verdict and observation set may not.
+  // state. Verdict and observation set may not. At equal final bounds
+  // both pipelines report the same final CNF (Fig. 10's size columns):
+  // the session's solver holds the live encoding only.
+  if (Inc.FinalBounds == Fresh.FinalBounds) {
+    EXPECT_EQ(Inc.Stats.Inclusion.SatVars, Fresh.Stats.Inclusion.SatVars);
+    EXPECT_EQ(Inc.Stats.Inclusion.SatClauses,
+              Fresh.Stats.Inclusion.SatClauses);
+  }
 }
 
 TEST(SessionEquivalence, RefQueueT0AllModels) {
@@ -136,43 +143,63 @@ TEST(SessionEquivalence, RefspecModeMatches) {
 }
 
 //===----------------------------------------------------------------------===//
-// The no-reset property: one persistent solver across phases and bounds.
+// One live encoding per solver: re-unrolling retires the old encoding.
 //===----------------------------------------------------------------------===//
 
-TEST(SessionSolverGrowth, VarsAndClausesGrowMonotonically) {
+TEST(SessionSolver, RetiresSupersededEncodings) {
   // msn T0 on Relaxed needs a bound growth round (retry loops), so the
-  // session runs >= 2 bound iterations and >= 2 inclusion encodings - all
-  // on the same target-model solver.
+  // target-model context re-encodes at least once.
   lsl::Program Prog;
   ASSERT_TRUE(compileInto(impls::sourceFor("msn"), Prog));
-  TestSpec Spec = testByName("T0");
-  std::vector<std::string> Threads = buildTestThreads(Prog, Spec);
+  std::vector<std::string> Threads =
+      buildTestThreads(Prog, testByName("T0"));
 
   CheckOptions Opts;
   Opts.Model = memmodel::ModelParams::relaxed();
   CheckSession Session(Opts);
   CheckResult R = Session.check(Prog, Threads);
   ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  ASSERT_GE(R.Stats.BoundIterations, 2) << "expected a bound-growth round";
 
-  const std::vector<SessionSnapshot> &Snaps = Session.snapshots();
-  ASSERT_GE(Snaps.size(), 2u) << "expected a bound-growth round";
-  for (size_t I = 1; I < Snaps.size(); ++I) {
-    // Monotone, never reset.
-    EXPECT_GE(Snaps[I].CheckVars, Snaps[I - 1].CheckVars);
-    EXPECT_GE(Snaps[I].CheckClauses, Snaps[I - 1].CheckClauses);
-    EXPECT_GE(Snaps[I].MineVars, Snaps[I - 1].MineVars);
-    EXPECT_GE(Snaps[I].MineClauses, Snaps[I - 1].MineClauses);
-  }
-  // The growth round appended a re-unrolled encoding: strictly more vars.
-  EXPECT_GT(Snaps.back().CheckVars, Snaps.front().CheckVars);
+  // The solvers hold what a session starting at the final bounds holds:
+  // the live encodings plus their phases' clauses, nothing of round 1.
+  CheckOptions AtFinal = Opts;
+  AtFinal.InitialBounds = R.FinalBounds;
+  CheckSession Ref(AtFinal);
+  CheckResult RefR = Ref.check(Prog, Threads);
+  ASSERT_EQ(RefR.Status, CheckStatus::Pass) << RefR.Message;
+  EXPECT_EQ(RefR.Stats.BoundIterations, 1);
+  const sat::Solver &Check = Session.checkContext().solver();
+  const sat::Solver &Mine = Session.mineContext().solver();
+  EXPECT_EQ(Check.numVars(), Ref.checkContext().solver().numVars());
+  EXPECT_EQ(Check.numClauses(), Ref.checkContext().solver().numClauses());
+  EXPECT_EQ(Mine.numVars(), Ref.mineContext().solver().numVars());
+  EXPECT_EQ(Mine.numClauses(), Ref.mineContext().solver().numClauses());
+  EXPECT_EQ(R.Stats.Inclusion.SatVars, RefR.Stats.Inclusion.SatVars);
+  EXPECT_EQ(R.Stats.Inclusion.SatClauses, RefR.Stats.Inclusion.SatClauses);
 
-  // The snapshots describe the live solvers, not copies.
-  EXPECT_EQ(Session.checkContext().solver().numVars(),
-            Snaps.back().CheckVars);
-  EXPECT_EQ(Session.mineContext().solver().numVars(),
-            Snaps.back().MineVars);
-  // Inclusion + probe + re-encoded inclusion all went through one context.
-  EXPECT_GE(Session.checkContext().numEncodings(), 2u);
+  // A second check re-encodes from scratch: the solvers end no larger,
+  // the timing-free result repeats, and - every encode resets the
+  // solvers, so the second check searches exactly like the first - the
+  // lifetime counters, which survive the resets, exactly double.
+  int CheckVars = Check.numVars(), MineVars = Mine.numVars();
+  size_t CheckClauses = Check.numClauses(), MineClauses = Mine.numClauses();
+  sat::SolverStats CheckStats = Check.stats(), MineStats = Mine.stats();
+  ASSERT_GT(CheckStats.Conflicts, 0u);
+  CheckResult Again = Session.check(Prog, Threads);
+  EXPECT_LE(Check.numVars(), CheckVars);
+  EXPECT_LE(Check.numClauses(), CheckClauses);
+  EXPECT_LE(Mine.numVars(), MineVars);
+  EXPECT_LE(Mine.numClauses(), MineClauses);
+  EXPECT_EQ(Check.stats().Conflicts, 2 * CheckStats.Conflicts);
+  EXPECT_EQ(Check.stats().Propagations, 2 * CheckStats.Propagations);
+  EXPECT_EQ(Mine.stats().Conflicts, 2 * MineStats.Conflicts);
+  EXPECT_EQ(Again.Status, R.Status);
+  EXPECT_EQ(Again.Spec, R.Spec);
+  EXPECT_EQ(Again.FinalBounds, R.FinalBounds);
+  EXPECT_EQ(Again.Stats.BoundIterations, R.Stats.BoundIterations);
+  EXPECT_EQ(Again.Stats.Inclusion.SatVars, R.Stats.Inclusion.SatVars);
+  EXPECT_EQ(Again.Stats.Inclusion.SatClauses, R.Stats.Inclusion.SatClauses);
 }
 
 //===----------------------------------------------------------------------===//

@@ -262,7 +262,7 @@ TEST(TracePipeline, SpanNamesAreDeterministicAcrossRuns) {
     return std::find(First.begin(), First.end(), N) != First.end();
   };
   EXPECT_TRUE(Has("request/request:check"));
-  EXPECT_TRUE(Has("api/session_lease"));
+  EXPECT_TRUE(Has("engine/mine"));
   EXPECT_TRUE(Has("engine/encode"));
   EXPECT_TRUE(Has("engine/include"));
 }

@@ -268,6 +268,44 @@ TEST(SatSolver, MemoryAccounting) {
   EXPECT_GT(S.memoryBytes(), Before);
 }
 
+TEST(SatSolver, ResetDropsTheProblemAndKeepsStats) {
+  // PHP(5,4): Unsat after real search, leaving learnts and a level-0
+  // contradiction behind.
+  auto AddPigeonHole = [](Solver &S) {
+    Var X[5][4];
+    for (auto &Row : X)
+      for (Var &V : Row)
+        V = S.newVar();
+    for (auto &Row : X)
+      S.addClause({pos(Row[0]), pos(Row[1]), pos(Row[2]), pos(Row[3])});
+    for (int H = 0; H < 4; ++H)
+      for (int P1 = 0; P1 < 5; ++P1)
+        for (int P2 = P1 + 1; P2 < 5; ++P2)
+          S.addClause(neg(X[P1][H]), neg(X[P2][H]));
+  };
+  Solver S;
+  AddPigeonHole(S);
+  ASSERT_EQ(S.solve(), SolveResult::Unsat);
+  SolverStats First = S.stats();
+  ASSERT_GT(First.Conflicts, 0u);
+
+  S.reset();
+  EXPECT_EQ(S.numVars(), 0);
+  EXPECT_EQ(S.numClauses(), 0u);
+  EXPECT_EQ(S.numLearnts(), 0u);
+  EXPECT_EQ(S.memoryBytes(), 0u);
+  EXPECT_TRUE(S.okay());
+  EXPECT_EQ(S.stats().Conflicts, First.Conflicts);
+  EXPECT_EQ(S.stats().Decisions, First.Decisions);
+
+  // The reset solver searches exactly like a fresh one; only the
+  // lifetime counters carry on.
+  AddPigeonHole(S);
+  ASSERT_EQ(S.solve(), SolveResult::Unsat);
+  EXPECT_EQ(S.stats().Conflicts, 2 * First.Conflicts);
+  EXPECT_EQ(S.stats().Propagations, 2 * First.Propagations);
+}
+
 //===----------------------------------------------------------------------===//
 // DIMACS round-trip
 //===----------------------------------------------------------------------===//

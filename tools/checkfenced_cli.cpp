@@ -40,7 +40,6 @@ void usage() {
       "  --bind ADDR              bind address (default 127.0.0.1)\n"
       "  --shards N               worker shards = max in-flight requests\n"
       "                           (default 2); each shard owns a Verifier\n"
-      "                           and its warm session pool\n"
       "  --jobs N                 Verifier worker threads per shard\n"
       "                           (default 1)\n"
       "  --queue-depth N          queued requests beyond this are rejected\n"
