@@ -57,6 +57,17 @@ CheckResult checkfence::checker::runCheckFresh(
     return Result;
   };
 
+  const lsl::Program &MineProg = SpecProg ? *SpecProg : ImplProg;
+
+  ProblemConfig MineCfg;
+  MineCfg.Model = memmodel::ModelParams::serial();
+  MineCfg.Order = Opts.Order;
+  MineCfg.RangeAnalysis = Opts.RangeAnalysis;
+  MineCfg.ConflictBudget = Opts.ConflictBudget;
+
+  ProblemConfig CheckCfg = MineCfg;
+  CheckCfg.Model = Opts.Model;
+
   for (int Iter = 0; Iter < Opts.MaxBoundIterations; ++Iter) {
     Result.Stats.BoundIterations = Iter + 1;
     if (CancelRequested())
@@ -65,12 +76,6 @@ CheckResult checkfence::checker::runCheckFresh(
       Hooks.OnRoundStarted(Iter + 1);
 
     // Phase 1: specification mining under the Serial model.
-    ProblemConfig MineCfg;
-    MineCfg.Model = memmodel::ModelParams::serial();
-    MineCfg.Order = Opts.Order;
-    MineCfg.RangeAnalysis = Opts.RangeAnalysis;
-    MineCfg.ConflictBudget = Opts.ConflictBudget;
-    const lsl::Program &MineProg = SpecProg ? *SpecProg : ImplProg;
     trans::LoopBounds &MineBounds = SpecProg ? SpecBounds : Bounds;
     {
       Timer MineTimer;
@@ -103,14 +108,9 @@ CheckResult checkfence::checker::runCheckFresh(
       return Cancel();
 
     // Phase 2: inclusion check under the target model.
-    ProblemConfig IncCfg;
-    IncCfg.Model = Opts.Model;
-    IncCfg.Order = Opts.Order;
-    IncCfg.RangeAnalysis = Opts.RangeAnalysis;
-    IncCfg.ConflictBudget = Opts.ConflictBudget;
     {
       Timer IncludeTimer;
-      EncodedProblem IncProb(ImplProg, ThreadProcs, Bounds, IncCfg);
+      EncodedProblem IncProb(ImplProg, ThreadProcs, Bounds, CheckCfg);
       InclusionOutcome Inc = checkInclusion(IncProb, Result.Spec);
       Result.Stats.Inclusion = IncProb.stats();
       Result.Stats.EncodeSeconds += IncProb.stats().EncodeSeconds;
@@ -136,24 +136,20 @@ CheckResult checkfence::checker::runCheckFresh(
     // growing exactly the exceeded loop instances until none remain (or
     // the probe budget runs out). Mining and inclusion then re-run once
     // over the stabilized bounds.
-    ProblemConfig ProbeCfg;
-    ProbeCfg.Model = Opts.Model;
-    ProbeCfg.Order = Opts.Order;
-    ProbeCfg.RangeAnalysis = Opts.RangeAnalysis;
-    ProbeCfg.ProbeBounds = true;
-    ProbeCfg.ConflictBudget = Opts.ConflictBudget;
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
         return Cancel();
       Timer ProbeTimer;
-      EncodedProblem Probe(ImplProg, ThreadProcs, Bounds, ProbeCfg);
-      if (!Probe.ok()) {
+      EncodedProblem Probe;
+      ProblemEncoding &Enc =
+          Probe.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      if (!Enc.ok()) {
         Result.Status = CheckStatus::Error;
-        Result.Message = Probe.error();
+        Result.Message = Enc.error();
         return Result;
       }
-      sat::SolveResult R = Probe.solve();
+      sat::SolveResult R = Probe.solve(Enc.probeAssumptions());
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown) {
         Result.Status = CheckStatus::Error;
@@ -163,7 +159,7 @@ CheckResult checkfence::checker::runCheckFresh(
       if (R == sat::SolveResult::Unsat)
         break;
       bool GrewThisProbe = false;
-      for (const std::string &Key : Probe.exceededLoops()) {
+      for (const std::string &Key : Enc.exceededLoops(Probe.solver())) {
         int &B = Bounds[Key];
         B = (B == 0 ? 1 : B) + 1;
         GrewThisProbe = true;
@@ -187,12 +183,12 @@ CheckResult checkfence::checker::runCheckFresh(
 
     // Probe the reference program separately when mining from it.
     if (!Grown && SpecProg) {
-      ProblemConfig SpecProbeCfg = ProbeCfg;
-      SpecProbeCfg.Model = memmodel::ModelParams::serial();
-      EncodedProblem Probe(*SpecProg, ThreadProcs, SpecBounds,
-                           SpecProbeCfg);
-      if (Probe.ok() && Probe.solve() == sat::SolveResult::Sat) {
-        for (const std::string &Key : Probe.exceededLoops()) {
+      EncodedProblem Probe;
+      ProblemEncoding &Enc =
+          Probe.encode(*SpecProg, ThreadProcs, SpecBounds, MineCfg);
+      if (Enc.ok() &&
+          Probe.solve(Enc.probeAssumptions()) == sat::SolveResult::Sat) {
+        for (const std::string &Key : Enc.exceededLoops(Probe.solver())) {
           int &B = SpecBounds[Key];
           B = (B == 0 ? 1 : B) + 1;
           Grown = true;

@@ -166,8 +166,10 @@ CheckResult runCheck(const lsl::Program &ImplProg,
 /// The non-incremental reference pipeline: a fresh EncodedProblem (with a
 /// fresh solver) for every phase and every bound iteration, exactly as the
 /// paper's original workflow re-ran zChaff per query. Kept for the
-/// differential tests that pin the session engine's results to it, and as
-/// the ProofLog-compatible path.
+/// differential tests that pin the session engine's results to it. It
+/// never logs proofs; a proof-logged check builds one-shot EncodedProblems
+/// with ProblemConfig::ProofLog set, whose Unsat answers refute the formula
+/// alone.
 CheckResult runCheckFresh(const lsl::Program &ImplProg,
                           const std::vector<std::string> &ThreadProcs,
                           const CheckOptions &Opts,

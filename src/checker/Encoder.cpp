@@ -20,9 +20,9 @@ using namespace checkfence::trans;
 
 ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB, const lsl::Program &Prog,
                                  const std::vector<std::string> &ThreadProcs,
-                                 const LoopBounds &LoopBoundsIn,
+                                 const LoopBounds &Bounds,
                                  const ProblemConfig &Cfg)
-    : Cnf(&CnfB), Bounds(LoopBoundsIn) {
+    : Cnf(&CnfB) {
   Timer EncodeTimer;
 
   // 1. Flatten every thread (thread 0 is the init sequence).
@@ -65,13 +65,12 @@ ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB, const lsl::Program &Prog,
   }
 
   // 5. Side conditions, error flag, loop bounds.
-  encodeChecksAndBounds(Cfg);
+  encodeChecksAndBounds();
 
   Stats.EncodeSeconds = EncodeTimer.seconds();
 }
 
-void ProblemEncoding::encodeChecksAndBounds(const ProblemConfig &Cfg) {
-  (void)Cfg;
+void ProblemEncoding::encodeChecksAndBounds() {
   std::vector<Lit> ErrorTerms;
   for (const FlatCheck &C : Flat.Checks) {
     Lit G = Values->guardLit(C.Guard);
@@ -258,30 +257,43 @@ EncodedProblem::EncodedProblem(const lsl::Program &Prog,
                                const std::vector<std::string> &ThreadProcs,
                                const LoopBounds &Bounds,
                                const ProblemConfig &Cfg)
-    : ProbeMode(Cfg.ProbeBounds) {
-  if (Cfg.ProofLog)
+    : OneShot(true) {
+  encode(Prog, ThreadProcs, Bounds, Cfg);
+}
+
+ProblemEncoding &EncodedProblem::encode(
+    const lsl::Program &Prog, const std::vector<std::string> &ThreadProcs,
+    const LoopBounds &Bounds, const ProblemConfig &Cfg) {
+  // Retire the previous encoding first: it refers to the builder.
+  Enc.reset();
+  if (Cfg.ProofLog && !Solver.proofLog())
     Solver.enableProofLog();
-  Cnf = std::make_unique<CnfBuilder>(Solver);
+  Solver.reset();
+  Cnf.emplace(Solver);
   Enc = std::make_unique<ProblemEncoding>(*Cnf, Prog, ThreadProcs, Bounds,
                                           Cfg);
-  // One-shot problems never retract their mode, so the mode literals are
-  // hard-asserted here. This reproduces the classic CNF exactly (keeping
-  // Unsat answers refutations of the formula alone, as the proof log and
-  // its RUP checker require) instead of solving under assumptions.
-  if (Enc->ok())
-    for (sat::Lit A : ProbeMode ? Enc->probeAssumptions()
-                                : Enc->withinBoundsAssumptions())
+  // A one-shot problem never retracts its mode, so the within-bounds
+  // literals are hard-asserted. This reproduces the classic CNF exactly
+  // (keeping Unsat answers refutations of the formula alone, as the proof
+  // log and its RUP checker require).
+  if (OneShot && Enc->ok())
+    for (sat::Lit A : Enc->withinBoundsAssumptions())
       Solver.addClause(A);
-  Solver.ConflictBudget = Cfg.ConflictBudget;
+  // The solver's budget counts lifetime conflicts; remember the per-phase
+  // allowance and arm it (phases re-arm again via beginPhase()).
+  PhaseBudget = Cfg.ConflictBudget;
+  beginPhase();
   EncodeStats &Stats = Enc->stats();
   Stats.SatVars = Solver.numVars();
   Stats.SatClauses = Solver.numClauses();
   Stats.SolverMemBytes = Solver.memoryBytes();
+  return *Enc;
 }
 
-sat::SolveResult EncodedProblem::solve() {
+sat::SolveResult
+EncodedProblem::solve(const std::vector<sat::Lit> &Assumptions) {
   Timer T;
-  sat::SolveResult R = Solver.solve();
+  sat::SolveResult R = Solver.solve(Assumptions);
   EncodeStats &Stats = Enc->stats();
   Stats.SolveSeconds += T.seconds();
   Stats.SolveCalls += 1;

@@ -21,9 +21,21 @@
 ///    one encoding serves within-bounds checking, the bound probe, and
 ///    retractable specification constraints on a single incremental solver.
 ///
-///  * EncodedProblem - the classic one-shot composition (own solver + one
-///    encoding), kept as the convenience entry point for tests, litmus
-///    runs, and the non-incremental reference pipeline.
+///  * EncodedProblem - the one solver-owning type: a sat::Solver plus one
+///    CnfBuilder holding the problem's single live ProblemEncoding. All
+///    phases over one encoding (the mine/include/probe phases of one bound
+///    round) share it, selecting their query through assumptions, so learnt
+///    clauses, saved phases and variable activities carry over between
+///    them. A re-encoding (the lazy-unrolling bound iterations of Sec. 3.3)
+///    uses only fresh variables, so encode() retires the old encoding
+///    first: the solver is reset and holds exactly the live CNF (the size
+///    Fig. 10 reports); only its lifetime statistics survive.
+///
+///    The one-shot constructor builds a problem that never retracts
+///    anything - litmus runs, the test suites and the non-incremental
+///    reference pipeline: its within-bounds literals are hard-asserted and
+///    its mining and inclusion groups become hard clauses, so an Unsat
+///    answer refutes the formula alone (as the proof log requires).
 ///
 /// The same encoding serves specification mining (Serial model, iterate
 /// with blocking clauses), inclusion checking (weak model, mismatch clauses
@@ -53,10 +65,6 @@ struct ProblemConfig {
   /// Use the range-analysis results to fix constants, minimize widths, and
   /// prune aliases (Fig. 11c ablation switch).
   bool RangeAnalysis = true;
-  /// For the one-shot EncodedProblem: solve() targets the bound-exceed
-  /// probe instead of within-bounds checking. (ProblemEncoding always
-  /// encodes both modes; assumptions select one per solve call.)
-  bool ProbeBounds = false;
   /// Give up (Unknown) after this many conflicts; -1 = no budget.
   int64_t ConflictBudget = -1;
   /// Record a DRAT-style clausal proof (sat/Proof.h); an Unsat inclusion
@@ -102,20 +110,14 @@ public:
   /// non-restricted mark fires").
   std::vector<sat::Lit> probeAssumptions() const { return {ProbeAct}; }
 
-  /// The probe activation literal itself.
-  sat::Lit probeActivation() const { return ProbeAct; }
-
   /// Decodes the observation of the current model (after Sat).
   Observation decodeObservation(const sat::Solver &S) const;
 
-  /// Clause asserting "observation != O" (used both as the mining blocking
-  /// clause and as the inclusion-check constraint). May create comparator
-  /// gates through the CnfBuilder.
-  std::vector<sat::Lit> mismatchClause(const Observation &O);
-
-  /// Adds the mismatch clause; with a defined \p Activation the clause only
-  /// binds while that literal is assumed (retractable constraint group).
-  /// Returns false if the sink became unsat.
+  /// Adds the clause asserting "observation != O" (the mining blocking
+  /// clause and the inclusion-check constraint); it may create comparator
+  /// gates through the CnfBuilder. With a defined \p Activation the clause
+  /// only binds while that literal is assumed (retractable constraint
+  /// group). Returns false if the sink became unsat.
   bool addMismatch(const Observation &O,
                    sat::Lit Activation = sat::LitUndef);
 
@@ -134,14 +136,13 @@ public:
   /// Range-analysis results for flat() (always computed; the static
   /// robustness analysis reuses them instead of re-running the pass).
   const trans::RangeInfo &ranges() const { return Ranges; }
-  const trans::LoopBounds &bounds() const { return Bounds; }
   const EncodeStats &stats() const { return Stats; }
   EncodeStats &stats() { return Stats; }
   std::vector<std::string> observationLabels() const;
-  encode::CnfBuilder &cnf() { return *Cnf; }
 
 private:
-  void encodeChecksAndBounds(const ProblemConfig &Cfg);
+  std::vector<sat::Lit> mismatchClause(const Observation &O);
+  void encodeChecksAndBounds();
   void fail(const std::string &Msg) {
     if (ErrorMsg.empty())
       ErrorMsg = Msg;
@@ -149,7 +150,6 @@ private:
 
   encode::CnfBuilder *Cnf = nullptr;
   trans::FlatProgram Flat;
-  trans::LoopBounds Bounds;
   trans::RangeInfo Ranges;
   std::unique_ptr<encode::ValueEncoder> Values;
   std::unique_ptr<memmodel::MemoryModelEncoder> Model;
@@ -172,52 +172,75 @@ private:
   std::string ErrorMsg;
 };
 
-/// One fully encoded test problem with its own solver - the one-shot
-/// composition used by litmus runs, the test suites, and the
-/// non-incremental reference pipeline (checker::runCheckFresh).
+/// A solver holding one live ProblemEncoding (see the file comment).
 class EncodedProblem {
 public:
+  /// An empty problem; call encode() before anything else.
+  EncodedProblem() = default;
+
+  /// A one-shot problem: encode() with the within-bounds literals
+  /// hard-asserted and no retractable clause groups.
   EncodedProblem(const lsl::Program &Prog,
                  const std::vector<std::string> &ThreadProcs,
                  const trans::LoopBounds &Bounds, const ProblemConfig &Cfg);
 
+  EncodedProblem(const EncodedProblem &) = delete;
+  EncodedProblem &operator=(const EncodedProblem &) = delete;
+
+  /// Encodes the given problem as the live encoding, retiring (and
+  /// invalidating) the previous one: the solver is reset to an empty
+  /// clause database first. The returned reference stays valid until the
+  /// next encode().
+  ProblemEncoding &encode(const lsl::Program &Prog,
+                          const std::vector<std::string> &ThreadProcs,
+                          const trans::LoopBounds &Bounds,
+                          const ProblemConfig &Cfg);
+
   bool ok() const { return Enc->ok(); }
   const std::string &error() const { return Enc->error(); }
 
-  /// Solves under this problem's mode (within-bounds, or the probe when
-  /// ProblemConfig::ProbeBounds was set); accumulates solve time.
-  sat::SolveResult solve();
-
-  Observation decodeObservation() { return Enc->decodeObservation(Solver); }
-  std::vector<sat::Lit> mismatchClause(const Observation &O) {
-    return Enc->mismatchClause(O);
+  /// Re-arms the conflict budget for a new phase (mining enumeration,
+  /// inclusion check, or one probe solve). The from-scratch pipeline gives
+  /// every phase a fresh solver and hence a fresh allowance; this restores
+  /// that semantics on a shared solver, whose conflict counter counts over
+  /// its lifetime (Solver::reset keeps it).
+  void beginPhase() {
+    Solver.ConflictBudget =
+        PhaseBudget < 0
+            ? -1
+            : static_cast<int64_t>(Solver.stats().Conflicts) + PhaseBudget;
   }
+
+  /// A fresh literal gating a retractable clause group: the group only
+  /// binds while the literal is assumed. A one-shot problem retracts
+  /// nothing and returns sat::LitUndef (its groups are hard clauses).
+  sat::Lit newActivation() { return OneShot ? sat::LitUndef : Cnf->fresh(); }
+
+  /// Solves under \p Assumptions; accumulates solve time and call count
+  /// into the live encoding's stats.
+  sat::SolveResult solve(const std::vector<sat::Lit> &Assumptions = {});
+
   bool addMismatch(const Observation &O) { return Enc->addMismatch(O); }
   bool requireObservation(const Observation &O) {
     return Enc->requireObservation(O);
   }
-  Trace decodeTrace() { return Enc->decodeTrace(Solver); }
-  std::vector<std::string> exceededLoops() {
-    return Enc->exceededLoops(Solver);
-  }
 
   const trans::FlatProgram &flat() const { return Enc->flat(); }
   const EncodeStats &stats() const { return Enc->stats(); }
-  std::vector<std::string> observationLabels() const {
-    return Enc->observationLabels();
-  }
 
   ProblemEncoding &encoding() { return *Enc; }
   sat::Solver &solver() { return Solver; }
+  const sat::Solver &solver() const { return Solver; }
 
   /// The recorded proof (nullptr unless ProblemConfig::ProofLog was set).
   const sat::ProofLog *proofLog() const { return Solver.proofLog(); }
 
 private:
   sat::Solver Solver;
-  std::unique_ptr<encode::CnfBuilder> Cnf;
-  std::unique_ptr<ProblemEncoding> Enc;
-  bool ProbeMode = false;
+  std::optional<encode::CnfBuilder> Cnf;  ///< over Solver; rebuilt per encode
+  std::unique_ptr<ProblemEncoding> Enc;  ///< built on Cnf
+  int64_t PhaseBudget = -1; ///< per-phase allowance from the last encode()
+  bool OneShot = false;
 };
 
 } // namespace checker

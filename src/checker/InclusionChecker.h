@@ -14,7 +14,7 @@
 #ifndef CHECKFENCE_CHECKER_INCLUSIONCHECKER_H
 #define CHECKFENCE_CHECKER_INCLUSIONCHECKER_H
 
-#include "checker/SolveContext.h"
+#include "checker/Encoder.h"
 
 #include <optional>
 
@@ -28,19 +28,13 @@ struct InclusionOutcome {
   std::optional<Trace> Counterexample;
 };
 
-/// Runs the inclusion check of \p Spec on \p Prob (built with the target
-/// memory model).
+/// Runs the inclusion check of \p Spec on \p Prob (whose live encoding
+/// uses the target memory model), solving under its within-bounds
+/// assumptions. The specification's mismatch clauses are gated by one
+/// activation literal, so the solver stays usable for the bound probe and
+/// later re-checks afterwards; on a one-shot problem they are hard clauses.
 InclusionOutcome checkInclusion(EncodedProblem &Prob,
                                 const ObservationSet &Spec);
-
-/// Incremental variant: checks inclusion on \p Enc inside \p Ctx, solving
-/// under \p Assumptions (normally Enc.withinBoundsAssumptions()). The
-/// specification's mismatch clauses are gated by a fresh activation
-/// literal, so the context's solver stays usable for the bound probe and
-/// later re-checks afterwards.
-InclusionOutcome checkInclusion(SolveContext &Ctx, ProblemEncoding &Enc,
-                                const ObservationSet &Spec,
-                                const std::vector<sat::Lit> &Assumptions);
 
 } // namespace checker
 } // namespace checkfence

@@ -13,56 +13,18 @@ MiningOutcome checkfence::checker::mineSpecification(EncodedProblem &Prob,
     return Out;
   }
 
-  for (;;) {
-    sat::SolveResult R = Prob.solve();
-    if (R == sat::SolveResult::Unknown) {
-      Out.Error = "solver budget exhausted during specification mining";
-      return Out;
-    }
-    if (R == sat::SolveResult::Unsat)
-      break;
-
-    ++Out.Iterations;
-    Observation O = Prob.decodeObservation();
-    if (O.Error) {
-      // A serial execution misbehaves: report the sequential bug.
-      Out.SequentialBug = true;
-      Out.BugTrace = Prob.decodeTrace();
-      Out.Ok = true;
-      return Out;
-    }
-    Out.Spec.insert(O);
-    if (Out.Spec.size() > MaxObservations) {
-      Out.Error = "observation set exceeds the configured limit";
-      return Out;
-    }
-    if (!Prob.addMismatch(O))
-      break; // blocking clause made the formula unsat: enumeration done
-  }
-
-  Out.Ok = true;
-  return Out;
-}
-
-MiningOutcome checkfence::checker::mineSpecification(
-    SolveContext &Ctx, ProblemEncoding &Enc,
-    const std::vector<sat::Lit> &Assumptions, size_t MaxObservations) {
-  MiningOutcome Out;
-  if (!Enc.ok()) {
-    Out.Error = Enc.error();
-    return Out;
-  }
-
-  Ctx.beginPhase();
+  Prob.beginPhase();
+  ProblemEncoding &Enc = Prob.encoding();
   // All blocking clauses of this enumeration share one activation literal;
   // once mining is over the literal is never assumed again and the blocked
   // region is released (the probe must be able to revisit any observation).
-  sat::Lit Act = Ctx.newActivation();
-  std::vector<sat::Lit> SolveAssumptions = Assumptions;
-  SolveAssumptions.push_back(Act);
+  sat::Lit Act = Prob.newActivation();
+  std::vector<sat::Lit> Assumptions = Enc.withinBoundsAssumptions();
+  if (Act != sat::LitUndef)
+    Assumptions.push_back(Act);
 
   for (;;) {
-    sat::SolveResult R = Ctx.solveUnder(SolveAssumptions);
+    sat::SolveResult R = Prob.solve(Assumptions);
     if (R == sat::SolveResult::Unknown) {
       Out.Error = "solver budget exhausted during specification mining";
       return Out;
@@ -71,11 +33,11 @@ MiningOutcome checkfence::checker::mineSpecification(
       break;
 
     ++Out.Iterations;
-    Observation O = Enc.decodeObservation(Ctx.solver());
+    Observation O = Enc.decodeObservation(Prob.solver());
     if (O.Error) {
       // A serial execution misbehaves: report the sequential bug.
       Out.SequentialBug = true;
-      Out.BugTrace = Enc.decodeTrace(Ctx.solver());
+      Out.BugTrace = Enc.decodeTrace(Prob.solver());
       Out.Ok = true;
       return Out;
     }

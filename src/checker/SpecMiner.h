@@ -16,7 +16,7 @@
 #ifndef CHECKFENCE_CHECKER_SPECMINER_H
 #define CHECKFENCE_CHECKER_SPECMINER_H
 
-#include "checker/SolveContext.h"
+#include "checker/Encoder.h"
 
 #include <optional>
 
@@ -33,17 +33,13 @@ struct MiningOutcome {
   std::optional<Trace> BugTrace;
 };
 
-/// Mines the observation set on \p Prob (which must have been built with
-/// the Serial model). \p MaxObservations caps runaway enumerations.
+/// Mines the observation set on \p Prob (whose live encoding must use the
+/// Serial model), solving under its within-bounds assumptions.
+/// \p MaxObservations caps runaway enumerations. The blocking clauses are
+/// gated by one activation literal, so the solver stays usable for other
+/// phases (e.g. the bound probe) afterwards; on a one-shot problem they
+/// are hard clauses.
 MiningOutcome mineSpecification(EncodedProblem &Prob,
-                                size_t MaxObservations = 1 << 20);
-
-/// Incremental variant: mines on \p Enc inside \p Ctx, solving under
-/// \p Assumptions (normally Enc.withinBoundsAssumptions()). The blocking
-/// clauses are gated by a fresh activation literal, so the context's
-/// solver stays usable for other phases (e.g. the bound probe) afterwards.
-MiningOutcome mineSpecification(SolveContext &Ctx, ProblemEncoding &Enc,
-                                const std::vector<sat::Lit> &Assumptions,
                                 size_t MaxObservations = 1 << 20);
 
 } // namespace checker

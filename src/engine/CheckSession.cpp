@@ -18,6 +18,20 @@ using namespace checkfence;
 using namespace checkfence::engine;
 using namespace checkfence::checker;
 
+/// True when an oracle enumerated the observations of every execution and
+/// each one is non-erroneous and already in the mined specification \p Spec:
+/// the inclusion query is then Unsat by construction (the mismatch clauses
+/// include the error flag).
+static bool insideSpec(const memmodel::ReadsFromResult &RF,
+                       const ObservationSet &Spec) {
+  if (!RF.Ok)
+    return false;
+  for (const memmodel::RefObservation &O : RF.Observations)
+    if (O.Error || !Spec.count(Observation{false, O.Values}))
+      return false;
+  return true;
+}
+
 CheckResult CheckSession::check(const lsl::Program &ImplProg,
                                 const std::vector<std::string> &ThreadProcs,
                                 const lsl::Program *SpecProg) {
@@ -38,7 +52,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
   ProblemConfig CheckCfg = MineCfg;
   CheckCfg.Model = Opts.Model;
 
-  // Encoding reuse state for this call: the live encoding of each context
+  // Encoding reuse state for this call: the live encoding of each problem
   // and the bounds it was built for. Encodings are only rebuilt when their
   // program's bounds changed; rebuilding retires the old encoding.
   ProblemEncoding *MineEnc = nullptr;
@@ -56,6 +70,17 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     Result.Message = Msg;
     Result.Stats.TotalSeconds = Total.seconds();
     return Result;
+  };
+  // A static pruner discharged the round with the bounds final. The
+  // reported stats keep their SAT-path values - SatVars/SatClauses freeze
+  // at encode end, and this round's solve deltas are genuinely zero.
+  auto Discharge = [&] {
+    Result.Stats.Inclusion = CheckEnc->stats();
+    Result.Stats.Inclusion.SolveSeconds = 0;
+    Result.Stats.Inclusion.SolveCalls = 0;
+    Result.FinalBounds = Bounds;
+    return Finish(CheckStatus::Pass,
+                  "all executions are observationally serial");
   };
 
   const CheckHooks &Hooks = Opts.Hooks;
@@ -83,16 +108,13 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       Timer MineTimer;
       if (!MineEnc || MineEncBounds != MineBounds) {
         obs::Span EncodeSpan("engine", "encode:mine");
-        MineEnc = &MineCtx.encode(MineProg, ThreadProcs, MineBounds,
-                                  MineCfg);
+        MineEnc = &MineProb.encode(MineProg, ThreadProcs, MineBounds,
+                                   MineCfg);
         MineEncBounds = MineBounds;
         Result.Stats.MiningEncodeSeconds += MineEnc->stats().EncodeSeconds;
       }
       double SolveBefore = MineEnc->stats().SolveSeconds;
-      MiningOutcome Mined =
-          mineSpecification(MineCtx, *MineEnc,
-                            MineEnc->withinBoundsAssumptions(),
-                            Opts.MaxObservations);
+      MiningOutcome Mined = mineSpecification(MineProb, Opts.MaxObservations);
       Result.Stats.MiningSeconds += MineTimer.seconds();
       Result.Stats.MiningSolveSeconds +=
           MineEnc->stats().SolveSeconds - SolveBefore;
@@ -119,22 +141,19 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     // encoding of the previous round when the bounds stabilized there).
     if (!CheckEnc || CheckEncBounds != Bounds) {
       obs::Span EncodeSpan("engine", "encode");
-      CheckEnc = &CheckCtx.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      CheckEnc = &CheckProb.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
       CheckEncBounds = Bounds;
       Result.Stats.EncodeSeconds += CheckEnc->stats().EncodeSeconds;
     }
     // Phase 2a: reads-from oracle pruning. On eligible target models the
     // polynomial oracle decides fragment-sized problems exactly; when
-    // every reachable observation is non-erroneous and already in the
-    // mined specification, the inclusion query is Unsat by construction
-    // (the mismatch clauses include the error flag), and - the oracle's
+    // every reachable observation is inside the mined specification
+    // (insideSpec), the inclusion query is Unsat, and - the oracle's
     // fragment admits only statically in-bounds programs - every bound
     // probe is Unsat too, so the check finishes here with the bounds
     // final. Counterexamples and refset mining are never short-circuited
     // (refset spec bounds may still need growing): any other outcome
-    // falls through to the SAT path unchanged. The reported stats keep
-    // their SAT-path values - SatVars/SatClauses freeze at encode end,
-    // and this round's solve deltas are genuinely zero.
+    // falls through to the SAT path unchanged.
     if (Opts.OraclePrune && !SpecProg &&
         memmodel::readsFromEligible(CheckCfg.Model) && CheckEnc->ok()) {
       obs::Span OracleSpan("engine", "oracle_prune");
@@ -142,26 +161,12 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       ++Result.Stats.OracleAttempts;
       memmodel::ReadsFromOptions RO;
       RO.Model = CheckCfg.Model;
-      memmodel::ReadsFromResult RF =
-          memmodel::checkReadsFrom(CheckEnc->flat(), RO);
-      bool Discharged = RF.Ok;
-      if (Discharged) {
-        for (const memmodel::RefObservation &O : RF.Observations) {
-          if (O.Error || !Result.Spec.count(Observation{false, O.Values})) {
-            Discharged = false;
-            break;
-          }
-        }
-      }
+      bool Discharged = insideSpec(
+          memmodel::checkReadsFrom(CheckEnc->flat(), RO), Result.Spec);
       Result.Stats.OracleSeconds += OracleTimer.seconds();
       if (Discharged) {
         ++Result.Stats.OracleDischarges;
-        Result.Stats.Inclusion = CheckEnc->stats();
-        Result.Stats.Inclusion.SolveSeconds = 0;
-        Result.Stats.Inclusion.SolveCalls = 0;
-        Result.FinalBounds = Bounds;
-        return Finish(CheckStatus::Pass,
-                      "all executions are observationally serial");
+        return Discharge();
       }
     }
     // Phase 0 (static): critical-cycle robustness pruning for the lattice
@@ -187,41 +192,24 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       ++Result.Stats.AnalysisAttempts;
       analysis::RobustnessResult RR = analysis::analyzeRobustness(
           CheckEnc->flat(), CheckEnc->ranges(), CheckCfg.Model);
-      bool Discharged = RR.Robust;
-      if (Discharged) {
+      bool Discharged = false;
+      if (RR.Robust) {
         memmodel::ReadsFromOptions RO;
         RO.Model = memmodel::ModelParams::sc();
-        memmodel::ReadsFromResult RF =
-            memmodel::checkReadsFrom(CheckEnc->flat(), RO);
-        Discharged = RF.Ok;
-        if (Discharged) {
-          for (const memmodel::RefObservation &O : RF.Observations) {
-            if (O.Error ||
-                !Result.Spec.count(Observation{false, O.Values})) {
-              Discharged = false;
-              break;
-            }
-          }
-        }
+        Discharged = insideSpec(
+            memmodel::checkReadsFrom(CheckEnc->flat(), RO), Result.Spec);
       }
       Result.Stats.AnalysisSeconds += AnalysisTimer.seconds();
       if (Discharged) {
         ++Result.Stats.AnalysisDischarges;
-        Result.Stats.Inclusion = CheckEnc->stats();
-        Result.Stats.Inclusion.SolveSeconds = 0;
-        Result.Stats.Inclusion.SolveCalls = 0;
-        Result.FinalBounds = Bounds;
-        return Finish(CheckStatus::Pass,
-                      "all executions are observationally serial");
+        return Discharge();
       }
     }
     {
       obs::Span IncludeSpan("engine", "include");
       Timer IncludeTimer;
       EncodeStats Before = CheckEnc->stats();
-      InclusionOutcome Inc =
-          checkInclusion(CheckCtx, *CheckEnc, Result.Spec,
-                         CheckEnc->withinBoundsAssumptions());
+      InclusionOutcome Inc = checkInclusion(CheckProb, Result.Spec);
       // Report this inclusion check's own solving effort; the shared
       // encoding's counters also accumulate probe solves (those are
       // charged to ProbeSeconds).
@@ -256,13 +244,13 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       {
         obs::Span ProbeSpan("engine", "probe");
         Timer ProbeTimer;
-        CheckCtx.beginPhase(); // each probe gets its own conflict allowance
+        CheckProb.beginPhase(); // each probe gets its own conflict allowance
         {
           obs::Span SolveSpan("solver", "solve");
-          R = CheckCtx.solveUnder(CheckEnc->probeAssumptions());
+          R = CheckProb.solve(CheckEnc->probeAssumptions());
         }
         if (R == sat::SolveResult::Sat)
-          Exceeded = CheckEnc->exceededLoops(CheckCtx.solver());
+          Exceeded = CheckEnc->exceededLoops(CheckProb.solver());
         Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       }
       if (R == sat::SolveResult::Unknown)
@@ -281,7 +269,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       }
       Grown = true;
       obs::Span EncodeSpan("engine", "encode");
-      CheckEnc = &CheckCtx.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      CheckEnc = &CheckProb.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
       CheckEncBounds = Bounds;
       Result.Stats.EncodeSeconds += CheckEnc->stats().EncodeSeconds;
     }
@@ -297,11 +285,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     if (!Grown && SpecProg && MineEnc && MineEnc->ok()) {
       obs::Span ProbeSpan("engine", "probe");
       Timer ProbeTimer;
-      MineCtx.beginPhase();
-      if (MineCtx.solveUnder(MineEnc->probeAssumptions()) ==
+      MineProb.beginPhase();
+      if (MineProb.solve(MineEnc->probeAssumptions()) ==
           sat::SolveResult::Sat) {
         for (const std::string &Key :
-             MineEnc->exceededLoops(MineCtx.solver())) {
+             MineEnc->exceededLoops(MineProb.solver())) {
           int &B = SpecBounds[Key];
           B = (B == 0 ? 1 : B) + 1;
           Grown = true;

@@ -6,16 +6,16 @@
 ///
 /// \file
 /// The session engine behind checker::runCheck. A CheckSession owns two
-/// persistent SolveContexts - one for the Serial model (specification
-/// mining and refset probing), one for the target model (inclusion checks
-/// and bound probes) - and drives the paper's mine -> include -> probe
-/// iteration (Fig. 1/3, Sec. 3.3) incrementally on them:
+/// persistent checker::EncodedProblems - one for the Serial model
+/// (specification mining and refset probing), one for the target model
+/// (inclusion checks and bound probes) - and drives the paper's mine ->
+/// include -> probe iteration (Fig. 1/3, Sec. 3.3) incrementally on them:
 ///
 ///  * The inclusion check and the bound probe of one round share a single
 ///    encoding; assumptions over activation literals switch between
 ///    "within bounds + specification" and "some bound exceeded".
 ///  * When lazy unrolling grows a loop bound, the new unrolling replaces
-///    the old one on the same context (SolveContext::encode resets the
+///    the old one in the same problem (EncodedProblem::encode resets the
 ///    solver), so each solver holds only the live encoding - the final
 ///    CNF that Fig. 10 reports - and never the dead variables of earlier
 ///    rounds. A re-unrolling uses fresh variables only, so no learnt
@@ -24,7 +24,7 @@
 ///    change since the last completed enumeration - the re-run would
 ///    reproduce the identical observation set.
 ///  * Every decoded artifact - counterexample traces and the loops a bound
-///    probe found exceeded - comes from the model the target context's
+///    probe found exceeded - comes from the model the target problem's
 ///    own solver holds after its Sat answer; no query is solved twice.
 ///    Solving is serial, so the decoded models (and with them the bound
 ///    trajectory and timing-free reports) depend only on the query
@@ -36,7 +36,7 @@
 #define CHECKFENCE_ENGINE_CHECKSESSION_H
 
 #include "checker/CheckFence.h"
-#include "checker/SolveContext.h"
+#include "checker/Encoder.h"
 
 #include <vector>
 
@@ -47,26 +47,26 @@ class CheckSession {
 public:
   explicit CheckSession(const checker::CheckOptions &Opts) : Opts(Opts) {}
 
-  /// Runs the full check on this session's contexts. May be called
+  /// Runs the full check on this session's problems. May be called
   /// repeatedly; every call re-encodes from scratch, so the solvers hold
   /// only the last call's live encodings.
   checker::CheckResult check(const lsl::Program &ImplProg,
                              const std::vector<std::string> &ThreadProcs,
                              const lsl::Program *SpecProg = nullptr);
 
-  const checker::SolveContext &mineContext() const { return MineCtx; }
-  const checker::SolveContext &checkContext() const { return CheckCtx; }
+  const checker::EncodedProblem &mineContext() const { return MineProb; }
+  const checker::EncodedProblem &checkContext() const { return CheckProb; }
 
   /// Problem clauses of the live encodings in both solvers.
   size_t totalClauses() const {
-    return MineCtx.solver().numClauses() +
-           CheckCtx.solver().numClauses();
+    return MineProb.solver().numClauses() +
+           CheckProb.solver().numClauses();
   }
 
 private:
   checker::CheckOptions Opts;
-  checker::SolveContext MineCtx;  ///< Serial model: mining + refset probe
-  checker::SolveContext CheckCtx; ///< target model: inclusion + probe
+  checker::EncodedProblem MineProb;  ///< Serial model: mining + refset probe
+  checker::EncodedProblem CheckProb; ///< target model: inclusion + probe
 };
 
 } // namespace engine

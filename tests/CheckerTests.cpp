@@ -127,6 +127,48 @@ TEST(CrossValidation, MsnQueueT0) {
 }
 
 //===----------------------------------------------------------------------===//
+// EncodedProblem: one-shot and re-encodable problems share one miner.
+//===----------------------------------------------------------------------===//
+
+TEST(EncodedProblem, OneShotAndReencodedMineTheSameSpec) {
+  frontend::DiagEngine Diags;
+  lsl::Program Prog;
+  ASSERT_TRUE(frontend::compileC(impls::sourceFor("msn"), {}, Prog, Diags))
+      << Diags.str();
+  std::vector<std::string> Threads =
+      buildTestThreads(Prog, testByName("T0"));
+  ProblemConfig Cfg;
+  Cfg.Model = memmodel::ModelParams::serial();
+
+  EncodedProblem OneShot(Prog, Threads, {}, Cfg);
+  ASSERT_TRUE(OneShot.ok()) << OneShot.error();
+  MiningOutcome FromOneShot = mineSpecification(OneShot);
+  ASSERT_TRUE(FromOneShot.Ok) << FromOneShot.Error;
+
+  EncodedProblem Reencodable;
+  // A first (relaxed-model) encoding that the serial one retires.
+  ProblemConfig RelaxedCfg = Cfg;
+  RelaxedCfg.Model = memmodel::ModelParams::relaxed();
+  ASSERT_TRUE(Reencodable.encode(Prog, Threads, {}, RelaxedCfg).ok());
+  ASSERT_TRUE(Reencodable.encode(Prog, Threads, {}, Cfg).ok());
+  MiningOutcome FromReencoded = mineSpecification(Reencodable);
+  ASSERT_TRUE(FromReencoded.Ok) << FromReencoded.Error;
+
+  EXPECT_FALSE(FromOneShot.Spec.empty());
+  EXPECT_EQ(FromOneShot.Spec, FromReencoded.Spec);
+  EXPECT_EQ(FromOneShot.Iterations, FromReencoded.Iterations);
+
+  // The re-encodable problem's blocking clauses are gated, so retracting
+  // the gate leaves the serial executions reachable again; the one-shot
+  // problem's blocking clauses are hard.
+  EXPECT_EQ(Reencodable.solve(
+                Reencodable.encoding().withinBoundsAssumptions()),
+            sat::SolveResult::Sat);
+  EXPECT_EQ(OneShot.solve(OneShot.encoding().withinBoundsAssumptions()),
+            sat::SolveResult::Unsat);
+}
+
+//===----------------------------------------------------------------------===//
 // The headline results (Sec. 4) on the smallest tests.
 //===----------------------------------------------------------------------===//
 

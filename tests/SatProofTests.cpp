@@ -14,7 +14,9 @@
 
 #include "sat/Proof.h"
 
+#include "checker/CheckFence.h"
 #include "checker/Encoder.h"
+#include "checker/InclusionChecker.h"
 #include "checker/SpecMiner.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
@@ -248,6 +250,62 @@ TEST(SatProof, InclusionCheckPassIsCertified) {
   RupChecker::Outcome O = RupChecker::check(*Prob.proofLog(), true);
   EXPECT_TRUE(O.Ok) << O.Error;
   EXPECT_GT(O.CheckedDerivations, 0u);
+}
+
+/// The input clauses of \p Log, in order.
+std::vector<std::vector<Lit>> inputClauses(const ProofLog &Log) {
+  std::vector<std::vector<Lit>> Inputs;
+  for (const ProofLog::Event &E : Log.events())
+    if (E.K == ProofLog::EventKind::Input)
+      Inputs.push_back(E.Clause);
+  return Inputs;
+}
+
+TEST(SatProof, ReencodedProblemLogsOnlyTheLiveEncoding) {
+  using namespace checkfence::checker;
+  using namespace checkfence::harness;
+
+  frontend::DiagEngine Diags;
+  lsl::Program Prog;
+  ASSERT_TRUE(frontend::compileC(impls::sourceFor("msn"), {}, Prog, Diags))
+      << Diags.str();
+  std::vector<std::string> Threads =
+      buildTestThreads(Prog, testByName("T0"));
+
+  CheckOptions Opts;
+  Opts.Model = memmodel::ModelParams::relaxed();
+  CheckResult Check = runCheck(Prog, Threads, Opts);
+  ASSERT_EQ(Check.Status, CheckStatus::Pass) << Check.Message;
+  ASSERT_NE(Check.FinalBounds, Opts.InitialBounds)
+      << "msn/T0/relaxed grows its loop bounds";
+
+  ProblemConfig Cfg;
+  Cfg.Model = Opts.Model;
+  Cfg.ProofLog = true;
+
+  // Encode at the initial bounds, re-encode at the final ones, and run the
+  // inclusion check (a PASS: an Unsat answer under assumptions).
+  EncodedProblem Reencoded;
+  ASSERT_TRUE(Reencoded.encode(Prog, Threads, Opts.InitialBounds, Cfg).ok());
+  ASSERT_TRUE(Reencoded.encode(Prog, Threads, Check.FinalBounds, Cfg).ok());
+  InclusionOutcome Inc = checkInclusion(Reencoded, Check.Spec);
+  ASSERT_TRUE(Inc.Ok) << Inc.Error;
+  ASSERT_TRUE(Inc.Pass);
+
+  ASSERT_NE(Reencoded.proofLog(), nullptr);
+  RupChecker::Outcome O =
+      RupChecker::check(*Reencoded.proofLog(), /*RequireEmptyClause=*/false);
+  EXPECT_TRUE(O.Ok) << O.Error;
+  EXPECT_GT(O.CheckedDerivations, 0u);
+
+  // The retired encoding left nothing in the log: its inputs are exactly a
+  // single encode at the final bounds plus the specification's mismatch
+  // clauses.
+  EncodedProblem Single;
+  ASSERT_TRUE(Single.encode(Prog, Threads, Check.FinalBounds, Cfg).ok());
+  ASSERT_TRUE(checkInclusion(Single, Check.Spec).Pass);
+  EXPECT_EQ(inputClauses(*Reencoded.proofLog()),
+            inputClauses(*Single.proofLog()));
 }
 
 } // namespace
